@@ -16,31 +16,26 @@ failure. Logs go to stderr; machine output goes to ``--report`` or stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
-
-import yaml
 
 from . import __version__
 from .clocks import Clock, FixedClock, SystemClock
 from .corpus import (
+    IMAGE_KEYS,
     dataset_stats,
+    iter_jsonl,
     load_coco_captions,
     load_object_annotations,
+    load_yaml,
     read_instructions,
     scan_jsonl_stats,
 )
-from .errors import (
-    RUNTIME_ERRORS,
-    VALIDATION_ERRORS,
-    MalformedLineError,
-    MissingFileError,
-    SchemaViolationError,
-)
+from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, SchemaViolationError
 from .eval_caption import CaptionEvalSet, CaptionItem, bleu, cider
 from .eval_hallucination import AnswerRecord, build_lexicon, chair_eval, default_lexicon
 from .eval_vqa import VqaItem, evaluate
@@ -54,50 +49,39 @@ log = logging.getLogger("cap2qa")
 
 ENV_BASE_URL = "CAP2QA_BASE_URL"
 ENV_MODEL = "CAP2QA_MODEL"
-
-def _read_jsonl(path: str) -> list[dict]:
-    if not os.path.exists(path):
-        raise MissingFileError(f"no such file: {path}")
-    rows: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, exc.msg) from exc
-            if not isinstance(obj, dict):
-                raise MalformedLineError(path, line_no, "expected a JSON object")
-            rows.append(obj)
-    return rows
+QUESTION_KEYS = ("question_id", "qid", "id")
 
 
-def _first_key(obj: dict, keys: tuple[str, ...], path: str, line_no: int):
+def _read_jsonl(path: str) -> list[tuple[str, dict]]:
+    return list(iter_jsonl(path))
+
+
+def _first_key(obj: dict, keys: tuple[str, ...], where: str):
     for key in keys:
         if key in obj:
             return obj[key]
-    raise MalformedLineError(path, line_no, f"missing any of {keys}")
+    raise SchemaViolationError(f"{where}: missing any of {keys}")
 
 
-def _emit(report: Report, out_path: str | None) -> None:
+def _emit(
+    command: str,
+    input_paths: list,
+    metrics: dict,
+    started: datetime,
+    clock: Clock,
+    out_path: str | None,
+    details: dict | None = None,
+) -> int:
+    """Hash the inputs, write the run report to ``out_path`` or stdout, return exit 0."""
+    inputs = {str(path): sha256_file(path) for path in input_paths if path}
+    report = Report(command, inputs, metrics, started, clock.now(), details or {})
     rendered = report_render(report, "json")
     if out_path:
         Path(out_path).write_text(rendered, encoding="utf-8")
         log.info("report written to %s", out_path)
     else:
         sys.stdout.write(rendered)
-
-
-def _make_report(command: str, inputs: dict, metrics: dict, started: datetime, clock: Clock, details: dict | None = None) -> Report:
-    return Report(
-        command=command,
-        inputs=inputs,
-        metrics=metrics,
-        started_at=started,
-        finished_at=clock.now(),
-        details=details or {},
-    )
+    return 0
 
 
 # --- generate -----------------------------------------------------------
@@ -117,13 +101,9 @@ def _layer(flag, env_name: str | None, config: dict, key: str, default):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    file_config: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
-            raise SchemaViolationError(f"{args.config}: config must be a mapping")
-        file_config = loaded
+    file_config = (load_yaml(args.config) or {}) if args.config else {}
+    if not isinstance(file_config, dict):
+        raise SchemaViolationError(f"{args.config}: config must be a mapping")
 
     backend_kind = _layer(args.backend, None, file_config, "backend", "http")
     base_url = _layer(args.base_url, ENV_BASE_URL, file_config, "base_url", None)
@@ -181,16 +161,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         summary.n_exhausted,
     )
 
-    inputs = {str(args.captions): sha256_file(args.captions)}
-    metrics = {
-        "n_captions": summary.n_captions,
-        "n_covered_images": summary.n_covered_images,
-        "n_records": summary.n_records,
-        "n_exhausted": summary.n_exhausted,
-    }
     details = {"out": str(args.out), "prompt_version": config.prompt.version_tag, "model_id": model_id}
-    _emit(_make_report("generate", inputs, metrics, started, clock, details), args.report)
-    return 0
+    return _emit("generate", [args.captions], asdict(summary), started, clock, args.report, details)
 
 
 # --- eval-chair ---------------------------------------------------------
@@ -205,19 +177,14 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
         lexicon = default_lexicon()
 
     answers = []
-    for line_no, row in enumerate(_read_jsonl(args.answers), start=1):
-        image_id = int(_first_key(row, ("image_id", "image", "img_id"), args.answers, line_no))
-        text = str(_first_key(row, ("answer", "caption", "text"), args.answers, line_no))
+    for where, row in _read_jsonl(args.answers):
+        image_id = int(_first_key(row, IMAGE_KEYS, where))
+        text = str(_first_key(row, ("answer", "caption", "text"), where))
         answers.append(AnswerRecord(image_id=image_id, text=text))
 
     annotations = {a.image_id: a for a in load_object_annotations(args.instances, lexicon)}
     result = chair_eval(answers, annotations, lexicon)
 
-    inputs = {str(args.answers): sha256_file(args.answers), str(args.instances): sha256_file(args.instances)}
-    if args.categories:
-        inputs[str(args.categories)] = sha256_file(args.categories)
-    if args.synonyms:
-        inputs[str(args.synonyms)] = sha256_file(args.synonyms)
     metrics = {
         "chair_s": result.chair_s,
         "recall": result.recall,
@@ -236,32 +203,35 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
             for b in result.per_answer
         ]
     }
-    _emit(_make_report("eval-chair", inputs, metrics, started, clock, details), args.report)
-    return 0
+    input_paths = [args.answers, args.instances, args.categories, args.synonyms]
+    return _emit("eval-chair", input_paths, metrics, started, clock, args.report, details)
 
 
 # --- eval-vqa -----------------------------------------------------------
 
 
-def _load_references(path: str) -> dict[str, tuple[str, ...]]:
-    refs: dict[str, tuple[str, ...]] = {}
-    for line_no, row in enumerate(_read_jsonl(path), start=1):
-        qid = str(_first_key(row, ("question_id", "qid", "id"), path, line_no))
-        value = _first_key(row, ("references", "answers", "answer"), path, line_no)
-        if isinstance(value, str):
-            value = [value]
-        refs[qid] = tuple(str(v) for v in value)
+def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str, ...], cast) -> dict:
+    """Map each id to its references; a single string is one reference, and an id may appear once."""
+    refs: dict = {}
+    for where, row in _read_jsonl(path):
+        key = cast(_first_key(row, id_keys, where))
+        if key in refs:
+            raise SchemaViolationError(f"{where}: repeated id {key!r}")
+        value = _first_key(row, value_keys, where)
+        if not isinstance(value, (str, list)):
+            raise SchemaViolationError(f"{where}: references must be a string or a list")
+        refs[key] = tuple(str(v) for v in ([value] if isinstance(value, str) else value))
     return refs
 
 
 def _cmd_eval_vqa(args: argparse.Namespace) -> int:
     clock = SystemClock()
     started = clock.now()
-    references = _load_references(args.gt)
+    references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
     items: list[VqaItem] = []
-    for line_no, row in enumerate(_read_jsonl(args.pred), start=1):
-        qid = str(_first_key(row, ("question_id", "qid", "id"), args.pred, line_no))
-        prediction = str(_first_key(row, ("prediction", "answer", "text"), args.pred, line_no))
+    for where, row in _read_jsonl(args.pred):
+        qid = str(_first_key(row, QUESTION_KEYS, where))
+        prediction = str(_first_key(row, ("prediction", "answer", "text"), where))
         if qid not in references:
             log.warning("prediction for unknown question %s ignored", qid)
             continue
@@ -273,7 +243,6 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
     strict = args.mode == "acc"
     result = evaluate(items, strict=strict, raw=args.raw_match)
     key = "acc" if strict else "pacc"
-    inputs = {str(args.pred): sha256_file(args.pred), str(args.gt): sha256_file(args.gt)}
     metrics = {key: float(result.mean_score), "n_items": len(result.per_item)}
     details = {
         "mean_exact": f"{result.mean_score.numerator}/{result.mean_score.denominator}",
@@ -282,8 +251,7 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
             for s in result.per_item
         ],
     }
-    _emit(_make_report("eval-vqa", inputs, metrics, started, clock, details), args.report)
-    return 0
+    return _emit("eval-vqa", [args.pred, args.gt], metrics, started, clock, args.report, details)
 
 
 # --- eval-caption -------------------------------------------------------
@@ -292,18 +260,11 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
 def _cmd_eval_caption(args: argparse.Namespace) -> int:
     clock = SystemClock()
     started = clock.now()
-    references: dict[int, tuple[str, ...]] = {}
-    for line_no, row in enumerate(_read_jsonl(args.refs), start=1):
-        image_id = int(_first_key(row, ("image_id", "image", "img_id"), args.refs, line_no))
-        value = _first_key(row, ("references", "captions", "caption"), args.refs, line_no)
-        if isinstance(value, str):
-            value = [value]
-        references[image_id] = tuple(str(v) for v in value)
-
+    references = _load_references(args.refs, IMAGE_KEYS, ("references", "captions", "caption"), int)
     items: list[CaptionItem] = []
-    for line_no, row in enumerate(_read_jsonl(args.pred), start=1):
-        image_id = int(_first_key(row, ("image_id", "image", "img_id"), args.pred, line_no))
-        candidate = str(_first_key(row, ("caption", "prediction", "text"), args.pred, line_no))
+    for where, row in _read_jsonl(args.pred):
+        image_id = int(_first_key(row, IMAGE_KEYS, where))
+        candidate = str(_first_key(row, ("caption", "prediction", "text"), where))
         if image_id not in references:
             raise SchemaViolationError(f"{args.refs}: no references for image {image_id}")
         items.append(CaptionItem(image_id=image_id, candidate=candidate, references=references[image_id]))
@@ -312,7 +273,6 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
     bleu_scores = bleu(eval_set)
     cider_score = cider(eval_set, cider_d=args.cider_d)
 
-    inputs = {str(args.pred): sha256_file(args.pred), str(args.refs): sha256_file(args.refs)}
     metrics = {
         "bleu_1": bleu_scores[0],
         "bleu_2": bleu_scores[1],
@@ -322,8 +282,7 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
         "n_items": len(items),
     }
     details = {"cider_variant": "cider-d" if args.cider_d else "cider"}
-    _emit(_make_report("eval-caption", inputs, metrics, started, clock, details), args.report)
-    return 0
+    return _emit("eval-caption", [args.pred, args.refs], metrics, started, clock, args.report, details)
 
 
 # --- stats --------------------------------------------------------------
@@ -336,15 +295,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         stats = scan_jsonl_stats(args.dataset)
     else:
         stats = dataset_stats(read_instructions(args.dataset))
-    inputs = {str(args.dataset): sha256_file(args.dataset)}
-    metrics = {
-        "n_records": stats.n_records,
-        "n_distinct_images": stats.n_distinct_images,
-        "avg_answer_words": stats.avg_answer_words,
-        "avg_question_words": stats.avg_question_words,
-    }
-    _emit(_make_report("stats", inputs, metrics, started, clock), args.report)
-    return 0
+    return _emit("stats", [args.dataset], asdict(stats), started, clock, args.report)
 
 
 # --- report -------------------------------------------------------------

@@ -4,6 +4,11 @@ Input side: official COCO caption and instance JSON files. Output side: the
 instruction dataset as JSONL, one record per line with a fixed key order
 (``image_id``, ``question``, ``answer``, ``source_caption_ids``,
 ``provenance``) so files diff and hash cleanly.
+
+This module also owns the package's file readers (:func:`load_json`,
+:func:`iter_jsonl`, :func:`load_yaml`): every JSON, JSONL and YAML input goes
+through one of them, so a missing or malformed file is always the same
+one-line input error.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import yaml
 
 from .errors import (
     IoFailureError,
@@ -27,6 +34,9 @@ if TYPE_CHECKING:
     from .eval_hallucination import Lexicon
 
 SPLITS = ("train", "val")
+
+# Field names that identify the image in evaluation and foreign QA JSONL.
+IMAGE_KEYS = ("image_id", "image", "img_id")
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,7 @@ class DatasetStats:
     avg_question_words: float
 
 
-def _load_json(path: str | Path) -> dict:
+def load_json(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise MissingFileError(f"no such file: {path}")
@@ -88,7 +98,45 @@ def _load_json(path: str | Path) -> dict:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(path, exc.pos, exc.msg) from exc
+    if not isinstance(data, dict):
+        raise SchemaViolationError(f"{path}: expected a JSON object at the top level")
     return data
+
+
+def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path:line", object)`` for each non-blank line of a JSONL file.
+
+    Every line must hold one JSON object; anything else raises
+    :class:`MalformedLineError` naming the line.
+    """
+    if not Path(path).exists():
+        raise MissingFileError(f"no such file: {path}")
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLineError(path, line_no, exc.msg) from exc
+            if not isinstance(obj, dict):
+                raise MalformedLineError(path, line_no, "expected a JSON object")
+            yield f"{path}:{line_no}", obj
+
+
+def load_yaml(path: str | Path):
+    """Parse a YAML file; a syntax error becomes a one-line input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except FileNotFoundError as exc:
+        raise MissingFileError(f"no such file: {path}") from exc
+    except yaml.YAMLError as exc:
+        # PyYAML messages span several lines (context, snippet, caret).
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}" if mark else ""
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise SchemaViolationError(f"{path}: malformed YAML{where}: {problem}") from exc
 
 
 def load_coco_captions(path: str | Path, split: str = "train") -> list[CaptionRecord]:
@@ -99,7 +147,7 @@ def load_coco_captions(path: str | Path, split: str = "train") -> list[CaptionRe
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
-    data = _load_json(path)
+    data = load_json(path)
     annotations = data.get("annotations")
     if not isinstance(annotations, list):
         raise SchemaViolationError(f"{path}: missing top-level 'annotations' array")
@@ -144,7 +192,7 @@ def load_object_annotations(
     vocab = list(dict.fromkeys(names))
     vocab_set = set(vocab)
 
-    data = _load_json(instances_path)
+    data = load_json(instances_path)
     categories = data.get("categories")
     annotations = data.get("annotations")
     if not isinstance(categories, list) or not isinstance(annotations, list):
@@ -259,42 +307,32 @@ def write_instructions(path: str | Path, records: Iterable[InstructionRecord]) -
 
 def read_instructions(path: str | Path) -> list[InstructionRecord]:
     """Inverse of :func:`write_instructions`."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"no such file: {path}")
-    records: list[InstructionRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, exc.msg) from exc
-            if not isinstance(obj, dict):
-                raise MalformedLineError(path, line_no, "record is not a JSON object")
-            records.append(_record_from_dict(obj, f"{path}:{line_no}"))
-    return records
+    return [_record_from_dict(obj, where) for where, obj in iter_jsonl(path)]
+
+
+_NO_IMAGE = object()
+
+
+def _stats(rows: Iterable[tuple]) -> DatasetStats:
+    """One pass over ``(image, question, answer)`` rows; non-string text counts as empty."""
+    n = answer_words = question_words = 0
+    images: set = set()
+    for image, question, answer in rows:
+        n += 1
+        images.add(image)
+        if isinstance(question, str):
+            question_words += len(question.split())
+        if isinstance(answer, str):
+            answer_words += len(answer.split())
+    images.discard(_NO_IMAGE)
+    if n == 0:
+        return DatasetStats(0, 0, 0.0, 0.0)
+    return DatasetStats(n, len(images), answer_words / n, question_words / n)
 
 
 def dataset_stats(records: Iterable[InstructionRecord]) -> DatasetStats:
     """Counts and whitespace-token word averages; zeros for empty input."""
-    records = list(records)
-    if not records:
-        return DatasetStats(0, 0, 0.0, 0.0)
-    n = len(records)
-    images = {r.image_id for r in records}
-    answer_words = sum(len(r.answer.split()) for r in records)
-    question_words = sum(len(r.question.split()) for r in records)
-    return DatasetStats(
-        n_records=n,
-        n_distinct_images=len(images),
-        avg_answer_words=answer_words / n,
-        avg_question_words=question_words / n,
-    )
-
-
-_IMAGE_KEYS = ("image_id", "image", "img_id")
+    return _stats((r.image_id, r.question, r.answer) for r in records)
 
 
 def scan_jsonl_stats(path: str | Path) -> DatasetStats:
@@ -305,34 +343,11 @@ def scan_jsonl_stats(path: str | Path) -> DatasetStats:
     fields feed the word averages when present (otherwise they count as
     empty). Useful to sanity-check externally published datasets.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"no such file: {path}")
-    n = 0
-    images: set = set()
-    answer_words = 0
-    question_words = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, exc.msg) from exc
-            if not isinstance(obj, dict):
-                raise MalformedLineError(path, line_no, "record is not a JSON object")
-            n += 1
-            for key in _IMAGE_KEYS:
-                if key in obj:
-                    images.add(obj[key])
-                    break
-            question = obj.get("question", "")
-            answer = obj.get("answer", "")
-            if isinstance(question, str):
-                question_words += len(question.split())
-            if isinstance(answer, str):
-                answer_words += len(answer.split())
-    if n == 0:
-        return DatasetStats(0, 0, 0.0, 0.0)
-    return DatasetStats(n, len(images), answer_words / n, question_words / n)
+    return _stats(
+        (
+            next((obj[key] for key in IMAGE_KEYS if key in obj), _NO_IMAGE),
+            obj.get("question", ""),
+            obj.get("answer", ""),
+        )
+        for _, obj in iter_jsonl(path)
+    )

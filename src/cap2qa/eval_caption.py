@@ -54,12 +54,6 @@ class CaptionEvalSet:
     items: list[CaptionItem]
 
 
-@dataclass(frozen=True)
-class CaptionScores:
-    bleu: tuple[float, float, float, float]
-    cider: float
-
-
 def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
     counts: Counter = Counter()
     for n in range(1, max_n + 1):
@@ -185,7 +179,3 @@ def cider(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> float:
     scores = cider_per_item(eval_set, cider_d=cider_d)
     return sum(scores) / len(scores)
 
-
-def caption_scores(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> CaptionScores:
-    b = bleu(eval_set)
-    return CaptionScores(bleu=(b[0], b[1], b[2], b[3]), cider=cider(eval_set, cider_d=cider_d))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 from .corpus import ObjectAnnotation
 from .errors import (
@@ -118,11 +119,24 @@ def extract_objects(text: str, lexicon: Lexicon) -> frozenset:
     return frozenset(found)
 
 
-def _parse_category_line(line: str) -> str | None:
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
-    return line.lower()
+def _parse_lexicon(categories_text: str, synonyms_text: str = "") -> Lexicon:
+    """Build a lexicon from the text of a category file and of a synonym file.
+
+    Lines are lowercased; blank lines and ``#`` comments are skipped. A
+    synonym line is comma-separated: the category, then extra surface forms;
+    a line with no extra form is ignored.
+    """
+
+    def entries(text: str) -> list[str]:
+        stripped = (raw.strip() for raw in text.splitlines())
+        return [line.lower() for line in stripped if line and not line.startswith("#")]
+
+    synonyms: dict[str, frozenset] = {}
+    for line in entries(synonyms_text):
+        parts = [p.strip() for p in line.split(",") if p.strip()]
+        if len(parts) >= 2:
+            synonyms[parts[0]] = synonyms.get(parts[0], frozenset()) | frozenset(parts[1:])
+    return Lexicon(categories=tuple(entries(categories_text)), synonyms=synonyms)
 
 
 def build_lexicon(categories_path: str, synonyms_path: str | None = None) -> Lexicon:
@@ -132,44 +146,17 @@ def build_lexicon(categories_path: str, synonyms_path: str | None = None) -> Lex
     comma-separated lines, first entry the category, the rest extra
     surface forms.
     """
-    categories: list[str] = []
-    with open(categories_path, encoding="utf-8") as handle:
-        for raw in handle:
-            name = _parse_category_line(raw)
-            if name is not None:
-                categories.append(name)
-    synonyms: dict[str, frozenset] = {}
-    if synonyms_path is not None:
-        with open(synonyms_path, encoding="utf-8") as handle:
-            for raw in handle:
-                line = _parse_category_line(raw)
-                if line is None:
-                    continue
-                parts = [p.strip() for p in line.split(",") if p.strip()]
-                if len(parts) < 2:
-                    continue
-                category, forms = parts[0], parts[1:]
-                synonyms[category] = synonyms.get(category, frozenset()) | frozenset(forms)
-    return Lexicon(categories=tuple(categories), synonyms=synonyms)
+    categories = Path(categories_path).read_text(encoding="utf-8")
+    synonyms = Path(synonyms_path).read_text(encoding="utf-8") if synonyms_path is not None else ""
+    return _parse_lexicon(categories, synonyms)
 
 
 def default_lexicon() -> Lexicon:
     data = resources.files("cap2qa.data")
-    categories: list[str] = []
-    for raw in (data / "coco_categories.txt").read_text(encoding="utf-8").splitlines():
-        name = _parse_category_line(raw)
-        if name is not None:
-            categories.append(name)
-    synonyms: dict[str, frozenset] = {}
-    for raw in (data / "coco_synonyms.txt").read_text(encoding="utf-8").splitlines():
-        line = _parse_category_line(raw)
-        if line is None:
-            continue
-        parts = [p.strip() for p in line.split(",") if p.strip()]
-        if len(parts) < 2:
-            continue
-        synonyms[parts[0]] = synonyms.get(parts[0], frozenset()) | frozenset(parts[1:])
-    return Lexicon(categories=tuple(categories), synonyms=synonyms)
+    return _parse_lexicon(
+        (data / "coco_categories.txt").read_text(encoding="utf-8"),
+        (data / "coco_synonyms.txt").read_text(encoding="utf-8"),
+    )
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import yaml
 
+from .corpus import load_yaml
 from .errors import SchemaViolationError
 
 if TYPE_CHECKING:
@@ -127,9 +128,7 @@ def filter_artifacts(pairs: Iterable["QAPair"], rules: Sequence[FilterRule]) -> 
 
 def load_rules(path: str | Path) -> list[FilterRule]:
     """Read a YAML rule file: a top-level ``rules`` list of rule mappings."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
         raise SchemaViolationError(f"{path}: expected a top-level 'rules' list")
     rules: list[FilterRule] = []

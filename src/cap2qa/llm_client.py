@@ -26,10 +26,10 @@ from pathlib import Path
 import requests
 
 from .clocks import Clock, SystemClock
+from .corpus import iter_jsonl
 from .errors import (
     AuthFailureError,
     BackendUnavailableError,
-    MalformedLineError,
     ResponseEmptyError,
     ScriptExhaustedError,
     SchemaViolationError,
@@ -100,20 +100,13 @@ class MockScript:
         """Load a JSONL script of ``{response_text, prompt_hash?}`` entries."""
         responses: list[str] = []
         by_hash: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLineError(path, line_no, exc.msg) from exc
-                if "response_text" not in obj:
-                    raise SchemaViolationError(f"{path}:{line_no}: entry missing 'response_text'")
-                if obj.get("prompt_hash"):
-                    by_hash[str(obj["prompt_hash"])] = str(obj["response_text"])
-                else:
-                    responses.append(str(obj["response_text"]))
+        for where, obj in iter_jsonl(path):
+            if "response_text" not in obj:
+                raise SchemaViolationError(f"{where}: entry missing 'response_text'")
+            if obj.get("prompt_hash"):
+                by_hash[str(obj["prompt_hash"])] = str(obj["response_text"])
+            else:
+                responses.append(str(obj["response_text"]))
         return cls(responses, by_hash)
 
     def next_for(self, prompt_text: str) -> str:
@@ -296,8 +289,3 @@ class AssistantClient:
             return body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailableError(f"{url} returned an unexpected body ({exc})") from exc
-
-
-def complete(request: AssistantRequest, backend: BackendSpec, **kwargs) -> AssistantResponse:
-    """One-shot convenience wrapper around :class:`AssistantClient`."""
-    return AssistantClient(backend, **kwargs).complete(request)

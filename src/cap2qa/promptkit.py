@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .corpus import CaptionRecord
+from .corpus import CaptionRecord, load_yaml
 from .errors import EmptyCaptionError, SchemaViolationError
 
 DEFAULT_BOTTOM_RULES = (
@@ -125,8 +125,7 @@ def save_prompt_config(config: PromptConfig, path: str | Path) -> None:
 def load_prompt_config(path: str | Path) -> PromptConfig:
     """Read a YAML config; the version tag is recomputed from the content."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path)
     if not isinstance(doc, dict):
         raise SchemaViolationError(f"{path}: prompt config must be a mapping")
     try:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from . import __version__ as _version
-from .errors import MissingFileError
+from .corpus import load_json
+from .errors import MissingFileError, SchemaViolationError
 
 _DISPLAY_NAMES = {
     "chair_s": "CHAIR_s",
@@ -65,10 +66,6 @@ class Report:
         return payload
 
 
-def _metric_name(key: str) -> str:
-    return _DISPLAY_NAMES.get(key, key)
-
-
 def report_render(report: Report, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
@@ -93,24 +90,23 @@ def report_render(report: Report, fmt: str = "json") -> str:
         lines.append("| --- | --- |")
         for key, value in report.metrics.items():
             shown = f"{value:.6f}" if isinstance(value, float) else str(value)
-            lines.append(f"| {_metric_name(key)} | {shown} |")
+            lines.append(f"| {_DISPLAY_NAMES.get(key, key)} | {shown} |")
         lines.append("")
         return "\n".join(lines)
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
 def load_report(path: str) -> Report:
+    payload = load_json(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError as exc:
-        raise MissingFileError(path) from exc
-    return Report(
-        command=payload["command"],
-        inputs=payload.get("inputs", {}),
-        metrics=payload.get("metrics", {}),
-        started_at=datetime.fromisoformat(payload["started_at"]),
-        finished_at=datetime.fromisoformat(payload["finished_at"]),
-        details=payload.get("details", {}),
-        tool_version=payload.get("tool_version", _version),
-    )
+        return Report(
+            command=payload["command"],
+            inputs=payload.get("inputs", {}),
+            metrics=payload.get("metrics", {}),
+            started_at=datetime.fromisoformat(payload["started_at"]),
+            finished_at=datetime.fromisoformat(payload["finished_at"]),
+            details=payload.get("details", {}),
+            tool_version=payload.get("tool_version", _version),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolationError(f"{path}: not a cap2qa report ({type(exc).__name__}: {exc})") from exc

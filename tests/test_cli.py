@@ -1,7 +1,13 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cap2qa
 from cap2qa.cli import main
 from cap2qa.corpus import CaptionRecord, read_instructions
 from cap2qa.llm_client import prompt_hash
@@ -284,3 +290,109 @@ class TestArgErrors:
 
     def test_missing_required_flag_is_exit_1(self):
         assert main(["generate", "--out", "x.jsonl"]) == 1
+
+
+# --- input errors: exit 1 with one line -----------------------------------
+
+BAD_YAML = "a: [1\n"
+
+
+def run_main(caplog, *argv):
+    """Run the CLI in process; returns the exit code and the logged lines."""
+    caplog.set_level(logging.INFO)
+    code = main([str(a) for a in argv])
+    return code, [line for r in caplog.records for line in r.getMessage().splitlines()]
+
+
+@pytest.fixture
+def mock_generate(tmp_path):
+    """Arguments of a valid mock-backend generate run, for error cases to extend."""
+    captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
+    script = write_jsonl(tmp_path / "script.jsonl", [{"response_text": "Question: Q?\nAnswer: A."}])
+    return ["generate", "--captions", captions, "--out", tmp_path / "o.jsonl", "--backend", "mock", "--script", script]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("flag", ["--config", "--rules", "--prompt"])
+    @pytest.mark.parametrize("content", [None, BAD_YAML], ids=["missing", "malformed"])
+    def test_bad_yaml_is_exit_1_in_one_line(self, tmp_path, caplog, mock_generate, flag, content):
+        path = tmp_path / "bad.yaml"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code, lines = run_main(caplog, *mock_generate, flag, path)
+        assert code == 1
+        assert len(lines) == 1
+        if content is None:
+            assert lines[0] == f"no such file: {path}"
+        else:
+            assert lines[0].startswith(f"{path}: malformed YAML at line 2: ")
+
+    def test_malformed_config_prints_one_stderr_line(self, tmp_path, mock_generate):
+        config = tmp_path / "bad.yaml"
+        config.write_text(BAD_YAML, encoding="utf-8")
+        src = str(Path(cap2qa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [str(a) for a in (*mock_generate, "--config", config)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cap2qa.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR cap2qa: {config}: malformed YAML at line 2: expected ',' or ']', but got '<stream end>'"
+        ]
+
+    def test_missing_script_is_exit_1(self, tmp_path, caplog, mock_generate):
+        script = Path(mock_generate[mock_generate.index("--script") + 1])
+        script.unlink()
+        code, lines = run_main(caplog, *mock_generate)
+        assert (code, lines) == (1, [f"no such file: {script}"])
+
+    def test_non_object_script_line_is_exit_1(self, tmp_path, caplog, mock_generate):
+        script = Path(mock_generate[mock_generate.index("--script") + 1])
+        script.write_text("5\n", encoding="utf-8")
+        code, lines = run_main(caplog, *mock_generate)
+        assert (code, lines) == (1, [f"{script}:1: expected a JSON object"])
+
+    def test_repeated_gt_question_id_is_exit_1(self, tmp_path, caplog):
+        gt = write_jsonl(
+            tmp_path / "gt.jsonl",
+            [{"question_id": 1, "answer": "dog"}, {"question_id": 1, "answer": "cat"}],
+        )
+        pred = write_jsonl(tmp_path / "p.jsonl", [{"question_id": 1, "prediction": "dog"}])
+        code, lines = run_main(caplog, "eval-vqa", "--pred", pred, "--gt", gt)
+        assert (code, lines) == (1, [f"{gt}:2: repeated id '1'"])
+
+    def test_repeated_refs_image_id_is_exit_1(self, tmp_path, caplog):
+        refs = write_jsonl(
+            tmp_path / "refs.jsonl",
+            [
+                {"image_id": 1, "captions": ["a red bird"]},
+                {"image_id": 2, "captions": ["two dogs"]},
+                {"image": 1, "caption": "a blue bird"},
+            ],
+        )
+        pred = write_jsonl(tmp_path / "pred.jsonl", [{"image_id": 1, "caption": "a red bird"}])
+        code, lines = run_main(caplog, "eval-caption", "--pred", pred, "--refs", refs)
+        assert (code, lines) == (1, [f"{refs}:3: repeated id 1"])
+
+    def test_non_list_reference_is_exit_1(self, tmp_path, caplog):
+        gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": 1, "answer": 5}])
+        pred = write_jsonl(tmp_path / "p.jsonl", [{"question_id": 1, "prediction": "5"}])
+        code, lines = run_main(caplog, "eval-vqa", "--pred", pred, "--gt", gt)
+        assert (code, lines) == (1, [f"{gt}:1: references must be a string or a list"])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"command": "x"},
+            {"command": "x", "started_at": "yesterday", "finished_at": "2024-05-01T00:00:00+00:00"},
+            ["not", "a", "report"],
+        ],
+        ids=["missing-fields", "bad-timestamp", "not-an-object"],
+    )
+    def test_bad_report_is_exit_1_in_one_line(self, tmp_path, caplog, payload):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, lines = run_main(caplog, "report", "--in", path)
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"{path}: ")

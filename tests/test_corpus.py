@@ -10,8 +10,11 @@ from cap2qa.corpus import (
     InstructionRecord,
     Provenance,
     dataset_stats,
+    iter_jsonl,
     load_coco_captions,
+    load_json,
     load_object_annotations,
+    load_yaml,
     read_instructions,
     record_to_line,
     scan_jsonl_stats,
@@ -236,3 +239,38 @@ class TestStats:
         stats = scan_jsonl_stats(path)
         assert stats.n_records == 3
         assert stats.n_distinct_images == 2
+
+
+class TestReaders:
+    def test_iter_jsonl_names_each_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
+        assert list(iter_jsonl(path)) == [(f"{path}:1", {"a": 1}), (f"{path}:3", {"a": 2})]
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+    def test_iter_jsonl_rejects_non_object_lines(self, tmp_path, line):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as info:
+            list(iter_jsonl(path))
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("read", [lambda p: list(iter_jsonl(p)), load_yaml, load_json])
+    def test_missing_file(self, tmp_path, read):
+        with pytest.raises(MissingFileError):
+            read(tmp_path / "absent")
+
+    def test_load_yaml_error_is_one_line(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("key: 'unterminated\n", encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as info:
+            load_yaml(path)
+        assert str(info.value) == f"{path}: malformed YAML at line 2: found unexpected end of stream"
+
+    def test_load_json_requires_a_top_level_object(self, tmp_path):
+        path = tmp_path / "captions.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(SchemaViolationError):
+            load_json(path)
+        with pytest.raises(SchemaViolationError):
+            load_coco_captions(path)

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cap2qa
 from cap2qa.corpus import ObjectAnnotation
 from cap2qa.errors import (
     DuplicateSurfaceFormError,
@@ -130,6 +133,11 @@ class TestBuildLexicon:
         cats.write_text("cat\n", encoding="utf-8")
         lex = build_lexicon(str(cats))
         assert lex.categories == ("cat",)
+
+    def test_bundled_files_give_the_default_lexicon(self, tmp_path):
+        data = Path(cap2qa.__file__).parent / "data"
+        lex = build_lexicon(str(data / "coco_categories.txt"), str(data / "coco_synonyms.txt"))
+        assert lex == default_lexicon()
 
 
 class TestChairEval:
