@@ -229,11 +229,13 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
     started = clock.now()
     references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
     items: list[VqaItem] = []
+    n_ignored = 0
     for where, row in _read_jsonl(args.pred):
         qid = str(_first_key(row, QUESTION_KEYS, where))
         prediction = str(_first_key(row, ("prediction", "answer", "text"), where))
         if qid not in references:
             log.warning("prediction for unknown question %s ignored", qid)
+            n_ignored += 1
             continue
         items.append(VqaItem(question_id=qid, prediction=prediction, references=references[qid]))
     missing = set(references) - {i.question_id for i in items}
@@ -243,7 +245,7 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
     strict = args.mode == "acc"
     result = evaluate(items, strict=strict, raw=args.raw_match)
     key = "acc" if strict else "pacc"
-    metrics = {key: float(result.mean_score), "n_items": len(result.per_item)}
+    metrics = {key: float(result.mean_score), "n_items": len(result.per_item), "n_ignored": n_ignored}
     details = {
         "mean_exact": f"{result.mean_score.numerator}/{result.mean_score.denominator}",
         "per_item": [

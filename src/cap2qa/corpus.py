@@ -139,6 +139,22 @@ def load_yaml(path: str | Path):
         raise SchemaViolationError(f"{path}: malformed YAML{where}: {problem}") from exc
 
 
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 text file; a missing file is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise MissingFileError(f"no such file: {path}") from exc
+
+
+def _objects(path: str | Path, entries: list, name: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(index, entry)`` for a JSON array that must hold objects only."""
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaViolationError(f"{path}: {name}[{i}] is not an object")
+        yield i, entry
+
+
 def load_coco_captions(path: str | Path, split: str = "train") -> list[CaptionRecord]:
     """Read a COCO caption-annotation JSON into caption records.
 
@@ -154,9 +170,7 @@ def load_coco_captions(path: str | Path, split: str = "train") -> list[CaptionRe
 
     records: list[CaptionRecord] = []
     seen_ids: set[int] = set()
-    for i, entry in enumerate(annotations):
-        if not isinstance(entry, dict):
-            raise SchemaViolationError(f"{path}: annotation {i} is not an object")
+    for i, entry in _objects(path, annotations, "annotations"):
         for field in ("id", "image_id", "caption"):
             if field not in entry:
                 raise SchemaViolationError(f"{path}: annotation {i} missing field {field!r}")
@@ -195,20 +209,23 @@ def load_object_annotations(
     data = load_json(instances_path)
     categories = data.get("categories")
     annotations = data.get("annotations")
+    images = data.get("images", [])
     if not isinstance(categories, list) or not isinstance(annotations, list):
         raise SchemaViolationError(
             f"{instances_path}: expected top-level 'categories' and 'annotations' arrays"
         )
+    if not isinstance(images, list):
+        raise SchemaViolationError(f"{instances_path}: expected 'images' to be an array")
 
     id_to_name: dict[int, str] = {}
-    for i, cat in enumerate(categories):
+    for i, cat in _objects(instances_path, categories, "categories"):
         if "id" not in cat or "name" not in cat:
             raise SchemaViolationError(f"{instances_path}: category {i} missing 'id' or 'name'")
         id_to_name[int(cat["id"])] = str(cat["name"])
 
     image_order: list[int] = []
     seen_images: set[int] = set()
-    for img in data.get("images", []):
+    for _, img in _objects(instances_path, images, "images"):
         image_id = int(img["id"]) if "id" in img else None
         if image_id is None:
             raise SchemaViolationError(f"{instances_path}: image entry missing 'id'")
@@ -217,7 +234,7 @@ def load_object_annotations(
             image_order.append(image_id)
 
     positives: dict[int, set[str]] = {image_id: set() for image_id in image_order}
-    for i, ann in enumerate(annotations):
+    for i, ann in _objects(instances_path, annotations, "annotations"):
         if "image_id" not in ann or "category_id" not in ann:
             raise SchemaViolationError(
                 f"{instances_path}: annotation {i} missing 'image_id' or 'category_id'"

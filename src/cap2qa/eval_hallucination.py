@@ -18,9 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
-from .corpus import ObjectAnnotation
+from .corpus import ObjectAnnotation, read_text
 from .errors import (
     DuplicateSurfaceFormError,
     MissingAnnotationError,
@@ -146,9 +145,8 @@ def build_lexicon(categories_path: str, synonyms_path: str | None = None) -> Lex
     comma-separated lines, first entry the category, the rest extra
     surface forms.
     """
-    categories = Path(categories_path).read_text(encoding="utf-8")
-    synonyms = Path(synonyms_path).read_text(encoding="utf-8") if synonyms_path is not None else ""
-    return _parse_lexicon(categories, synonyms)
+    synonyms = read_text(synonyms_path) if synonyms_path is not None else ""
+    return _parse_lexicon(read_text(categories_path), synonyms)
 
 
 def default_lexicon() -> Lexicon:

@@ -5,12 +5,18 @@ either by containment in the prediction (after light normalization) or by
 exact equality (after additionally dropping articles). The item score is
 min(1, matches / 3) kept as an exact rational; the strict variant counts
 exact equality only. Raw mode disables all normalization.
+
+Matching works on precomputed forms: one ``normalize`` call per string
+gives both the light and the article-free form, and :func:`evaluate`
+computes them once per distinct string in the batch (annotator answers
+repeat heavily), in a memo that lives for that call only.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +25,8 @@ from .errors import DuplicateQuestionIdError
 MATCH_CAP = 3
 _ARTICLES = frozenset({"a", "an", "the"})
 _WS = re.compile(r"\s+")
+# Every item score is one of these: Fraction(k, MATCH_CAP) for capped counts k.
+_GRID = tuple(Fraction(k, MATCH_CAP) for k in range(MATCH_CAP + 1))
 
 
 def normalize(text: str, *, drop_articles: bool = False) -> str:
@@ -34,28 +42,45 @@ def normalize(text: str, *, drop_articles: bool = False) -> str:
     return " ".join(tokens)
 
 
-def _matches(prediction: str, reference: str, *, strict: bool, raw: bool) -> bool:
-    if raw:
-        return prediction == reference if strict else reference in prediction
-    exact_pred = normalize(prediction, drop_articles=True)
-    exact_ref = normalize(reference, drop_articles=True)
-    if strict:
-        return exact_pred == exact_ref
-    loose_pred = normalize(prediction)
-    loose_ref = normalize(reference)
-    # Either containment after normalization or the strict form; the
-    # latter keeps partial credit a superset of strict credit.
-    return loose_ref in loose_pred or exact_ref == exact_pred
+def _forms(text: str) -> tuple[str, str]:
+    """``(loose, exact)``: ``normalize(text)`` and ``normalize(text, drop_articles=True)``.
+
+    One ``normalize`` call; its tokens hold no whitespace, so splitting the
+    loose form on spaces gives them back, and dropping the articles yields
+    the exact form.
+    """
+    loose = normalize(text)
+    return loose, " ".join(t for t in loose.split(" ") if t not in _ARTICLES)
+
+
+def _raw_forms(text: str) -> tuple[str, str]:
+    # Raw mode matches the text itself; equality implies containment, so
+    # the match rule below reduces to ``ref in pred`` (or ``==`` if strict).
+    return text, text
+
+
+def _match_count(prediction: str, references: Sequence[str], strict: bool, forms: Callable[[str], tuple[str, str]]) -> int:
+    """References matching ``prediction``, capped at MATCH_CAP.
+
+    A reference matches on equal exact forms or, unless ``strict``, when
+    its loose form occurs in the prediction's; partial credit is thus a
+    superset of strict credit.
+    """
+    loose_pred, exact_pred = forms(prediction)
+    matched = 0
+    for reference in references:
+        loose_ref, exact_ref = forms(reference)
+        if exact_ref == exact_pred or (not strict and loose_ref in loose_pred):
+            matched += 1
+    return min(MATCH_CAP, matched)
 
 
 def pacc_score(prediction: str, references: list[str] | tuple[str, ...], *, raw: bool = False) -> Fraction:
-    matched = sum(1 for ref in references if _matches(prediction, ref, strict=False, raw=raw))
-    return Fraction(min(MATCH_CAP, matched), MATCH_CAP)
+    return _GRID[_match_count(prediction, references, False, _raw_forms if raw else _forms)]
 
 
 def acc_score(prediction: str, references: list[str] | tuple[str, ...], *, raw: bool = False) -> Fraction:
-    matched = sum(1 for ref in references if _matches(prediction, ref, strict=True, raw=raw))
-    return Fraction(min(MATCH_CAP, matched), MATCH_CAP)
+    return _GRID[_match_count(prediction, references, True, _raw_forms if raw else _forms)]
 
 
 @dataclass(frozen=True)
@@ -87,13 +112,25 @@ def evaluate(items: list[VqaItem], *, strict: bool = False, raw: bool = False) -
     ``strict=False`` gives partial credit by containment, ``strict=True``
     is exact-equality accuracy. An empty batch scores 0.
     """
+    memo: dict[str, tuple[str, str]] = {}
+
+    def memo_forms(text: str) -> tuple[str, str]:
+        found = memo.get(text)
+        if found is None:
+            found = memo[text] = _forms(text)
+        return found
+
+    forms = _raw_forms if raw else memo_forms
     seen = set()
     scores: list[VqaItemScore] = []
+    total = 0
     for item in items:
         if item.question_id in seen:
             raise DuplicateQuestionIdError(item.question_id)
         seen.add(item.question_id)
-        fn = acc_score if strict else pacc_score
-        scores.append(VqaItemScore(item.question_id, fn(item.prediction, item.references, raw=raw)))
-    mean = sum((s.score for s in scores), Fraction(0)) / len(scores) if scores else Fraction(0)
+        matched = _match_count(item.prediction, item.references, strict, forms)
+        total += matched
+        scores.append(VqaItemScore(item.question_id, _GRID[matched]))
+    # The mean of the k_i / MATCH_CAP, as one rational instead of a Fraction sum.
+    mean = Fraction(total, MATCH_CAP * len(scores)) if scores else Fraction(0)
     return VqaResult(mean_score=mean, per_item=tuple(scores))

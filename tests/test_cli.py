@@ -207,6 +207,16 @@ class TestEvalVqa:
         pred = write_jsonl(tmp_path / "p.jsonl", [])
         assert main(["eval-vqa", "--pred", str(pred), "--gt", str(gt)]) == 1
 
+    def test_unknown_prediction_is_counted_as_ignored(self, tmp_path, capsys):
+        gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": "q", "answer": "fish"}])
+        pred = write_jsonl(
+            tmp_path / "p.jsonl",
+            [{"question_id": "q", "prediction": "fish"}, {"question_id": "elsewhere", "prediction": "fish"}],
+        )
+        assert main(["eval-vqa", "--pred", str(pred), "--gt", str(gt)]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert (metrics["n_items"], metrics["n_ignored"]) == (1, 1)
+
 
 class TestEvalCaption:
     def test_identity_scores(self, tmp_path, capsys):
@@ -352,6 +362,18 @@ class TestInputErrors:
         script.write_text("5\n", encoding="utf-8")
         code, lines = run_main(caplog, *mock_generate)
         assert (code, lines) == (1, [f"{script}:1: expected a JSON object"])
+
+    @pytest.mark.parametrize("flag", ["--categories", "--synonyms"])
+    def test_missing_lexicon_file_is_exit_1(self, tmp_path, caplog, flag):
+        instances = write_instance_file(tmp_path / "inst.json", categories={1: "cat"}, annotations=[(10, 1)])
+        answers = write_jsonl(tmp_path / "a.jsonl", [{"image_id": 10, "answer": "a cat"}])
+        cats = tmp_path / "cats.txt"
+        cats.write_text("cat\n", encoding="utf-8")
+        missing = tmp_path / "absent.txt"
+        lexicon = {"--categories": cats, flag: missing}
+        argv = ["eval-chair", "--answers", answers, "--instances", instances]
+        code, lines = run_main(caplog, *argv, *(arg for pair in lexicon.items() for arg in pair))
+        assert (code, lines) == (1, [f"no such file: {missing}"])
 
     def test_repeated_gt_question_id_is_exit_1(self, tmp_path, caplog):
         gt = write_jsonl(

@@ -124,6 +124,21 @@ class TestLoadObjectAnnotations:
         with pytest.raises(UnknownCategoryIdError):
             load_object_annotations(path, ["cat"])
 
+    @pytest.mark.parametrize("array", ["categories", "images", "annotations"])
+    def test_non_object_entry_names_array_and_index(self, tmp_path, array):
+        path = write_instance_file(tmp_path / "i.json", categories={1: "cat"}, annotations=[(10, 1)])
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[array].append(5)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaViolationError, match=rf"{array}\[1\] is not an object$"):
+            load_object_annotations(path, ["cat"])
+
+    def test_non_array_images_is_schema_error(self, tmp_path):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"categories": [], "annotations": [], "images": 5}), encoding="utf-8")
+        with pytest.raises(SchemaViolationError, match="expected 'images' to be an array"):
+            load_object_annotations(path, ["cat"])
+
     def test_out_of_vocabulary_category_ignored(self, tmp_path):
         path = write_instance_file(
             tmp_path / "i.json", categories={1: "cat", 2: "lamp"}, annotations=[(10, 2)]

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cap2qa import eval_vqa
 from cap2qa.errors import DuplicateQuestionIdError
 from cap2qa.eval_vqa import VqaItem, acc_score, evaluate, normalize, pacc_score
 
@@ -115,3 +117,84 @@ def test_scores_live_on_the_third_grid(prediction, references):
     for fn in (pacc_score, acc_score):
         score = fn(prediction, references)
         assert score in {Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)}
+
+
+def literal_matches(prediction, reference, *, strict, raw):
+    """The match rule as defined, with four ``normalize`` calls per pair."""
+    if raw:
+        return prediction == reference if strict else reference in prediction
+    exact_pred = normalize(prediction, drop_articles=True)
+    exact_ref = normalize(reference, drop_articles=True)
+    if strict:
+        return exact_pred == exact_ref
+    return normalize(reference) in normalize(prediction) or exact_ref == exact_pred
+
+
+# Tokens over a small alphabet that spells the articles, so containment and
+# article-only differences are common; decorated with edge punctuation and
+# upper case, and joined by runs of whitespace.
+decorated = st.builds(
+    lambda lead, core, tail, upper: (lead + core + tail).upper() if upper else lead + core + tail,
+    st.sampled_from(["", "'", "(", '"']),
+    st.one_of(st.sampled_from(["a", "an", "the", ""]), st.text(alphabet="aehnt", min_size=1, max_size=4)),
+    st.sampled_from(["", ".", "!", ",", "?"]),
+    st.booleans(),
+)
+spacing = st.sampled_from([" ", "  ", "\t", " \n "])
+messy_phrases = st.builds(
+    lambda lead, parts: lead + "".join(token + gap for token, gap in parts),
+    st.sampled_from(["", " "]),
+    st.lists(st.tuples(decorated, spacing), max_size=4),
+)
+
+
+@st.composite
+def batches(draw):
+    """Items whose predictions and references repeat strings from a small pool.
+
+    A pick may upper-case its phrase, so a batch also holds strings that
+    differ in case alone.
+    """
+    pool = st.sampled_from(draw(st.lists(messy_phrases, min_size=1, max_size=8)))
+    pick = st.builds(lambda phrase, upper: phrase.upper() if upper else phrase, pool, st.booleans())
+    return [
+        VqaItem(f"q{i}", draw(pick), tuple(draw(st.lists(pick, min_size=1, max_size=10))))
+        for i in range(draw(st.integers(0, 6)))
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(items=batches(), strict=st.booleans(), raw=st.booleans())
+def test_evaluate_equals_the_literal_definition(items, strict, raw):
+    expected = [
+        Fraction(min(3, sum(literal_matches(item.prediction, ref, strict=strict, raw=raw) for ref in item.references)), 3)
+        for item in items
+    ]
+    result = evaluate(items, strict=strict, raw=raw)
+    assert [(s.question_id, s.score) for s in result.per_item] == [
+        (item.question_id, score) for item, score in zip(items, expected)
+    ]
+    assert result.mean_score == (sum(expected, Fraction(0)) / len(expected) if expected else Fraction(0))
+    single = acc_score if strict else pacc_score
+    assert [single(item.prediction, item.references, raw=raw) for item in items] == expected
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_evaluate_normalizes_each_distinct_string_once(monkeypatch, strict):
+    calls = Counter()
+    real = eval_vqa.normalize
+
+    def counting(text, **kwargs):
+        calls[text] += 1
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(eval_vqa, "normalize", counting)
+    items = [
+        VqaItem("q1", "A fish", ("fish", "the fish", "boat")),
+        VqaItem("q2", "fish", ("fish", "A fish", "boat", "boat")),
+    ]
+    evaluate(items, strict=strict)
+    assert calls == Counter({"A fish": 1, "fish": 1, "the fish": 1, "boat": 1})
+    calls.clear()
+    evaluate(items, strict=strict, raw=True)
+    assert not calls
