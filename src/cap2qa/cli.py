@@ -27,11 +27,13 @@ from . import __version__
 from .clocks import Clock, FixedClock, SystemClock
 from .corpus import (
     IMAGE_KEYS,
+    as_kind,
     dataset_stats,
     iter_jsonl,
     load_coco_captions,
     load_object_annotations,
     load_yaml,
+    read_field,
     read_instructions,
     scan_jsonl_stats,
 )
@@ -51,16 +53,26 @@ ENV_BASE_URL = "CAP2QA_BASE_URL"
 ENV_MODEL = "CAP2QA_MODEL"
 QUESTION_KEYS = ("question_id", "qid", "id")
 
+# The generate settings that --config may set, each named as its flag and
+# typed as the flag is; flags override the environment, which overrides it.
+SETTINGS = {
+    "backend": str,
+    "base_url": str,
+    "model": str,
+    "retry": int,
+    "workers": int,
+    "temperature": float,
+    "max_output_tokens": int,
+    "rate_limit_rpm": int,
+    "cache_dir": str,
+    "rules": str,
+    "prompt": str,
+    "script": str,
+}
+
 
 def _read_jsonl(path: str) -> list[tuple[str, dict]]:
     return list(iter_jsonl(path))
-
-
-def _first_key(obj: dict, keys: tuple[str, ...], where: str):
-    for key in keys:
-        if key in obj:
-            return obj[key]
-    raise SchemaViolationError(f"{where}: missing any of {keys}")
 
 
 def _emit(
@@ -87,70 +99,54 @@ def _emit(
 # --- generate -----------------------------------------------------------
 
 
-def _layer(flag, env_name: str | None, config: dict, key: str, default):
-    """flags > environment > config file > default."""
-    if flag is not None:
-        return flag
-    if env_name:
-        env = os.environ.get(env_name)
-        if env:
-            return env
-    if key in config:
-        return config[key]
-    return default
+def _settings(args: argparse.Namespace) -> dict:
+    """The generate settings that were given: config file, then environment, then flags."""
+    settings: dict = {}
+    if args.config:
+        file_config = load_yaml(args.config) or {}
+        if not isinstance(file_config, dict):
+            raise SchemaViolationError(f"{args.config}: config must be a mapping")
+        for key in file_config:
+            if key not in SETTINGS:
+                raise SchemaViolationError(f"{args.config}: unknown key {key!r} (known: {', '.join(SETTINGS)})")
+            settings[key] = read_field(file_config, key, args.config, SETTINGS[key])
+    for key, env_name in (("base_url", ENV_BASE_URL), ("model", ENV_MODEL)):
+        if os.environ.get(env_name):
+            settings[key] = os.environ[env_name]
+    for key in SETTINGS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return settings
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    file_config = (load_yaml(args.config) or {}) if args.config else {}
-    if not isinstance(file_config, dict):
-        raise SchemaViolationError(f"{args.config}: config must be a mapping")
-
-    backend_kind = _layer(args.backend, None, file_config, "backend", "http")
-    base_url = _layer(args.base_url, ENV_BASE_URL, file_config, "base_url", None)
-    model_id = _layer(args.model, ENV_MODEL, file_config, "model", "gpt-3.5-turbo")
-    retry = int(_layer(args.retry, None, file_config, "retry", 3))
-    workers = int(_layer(args.workers, None, file_config, "workers", 1))
-    temperature = float(_layer(args.temperature, None, file_config, "temperature", 0.0))
-    max_tokens = int(_layer(args.max_output_tokens, None, file_config, "max_output_tokens", 512))
-    rate_limit = _layer(args.rate_limit_rpm, None, file_config, "rate_limit_rpm", None)
-    cache_dir = _layer(args.cache_dir, None, file_config, "cache_dir", None)
-    rules_path = _layer(args.rules, None, file_config, "rules", None)
-    prompt_path = _layer(args.prompt, None, file_config, "prompt", None)
-    script_path = _layer(args.script, None, file_config, "script", None)
-
+    settings = _settings(args)
+    backend_kind = settings.pop("backend", "http")
+    script, base_url = settings.pop("script", None), settings.pop("base_url", None)
     if backend_kind == "mock":
-        if not script_path:
+        if not script:
             raise SchemaViolationError("mock backend requires --script")
-        backend = BackendSpec(kind="mock", script=MockScript.from_file(script_path))
+        backend = BackendSpec(kind="mock", script=MockScript.from_file(script))
     else:
         if not base_url:
             raise SchemaViolationError(f"http backend requires --base-url or {ENV_BASE_URL}")
-        backend = BackendSpec(kind="http", base_url=base_url)
+        backend = BackendSpec(kind=backend_kind, base_url=base_url)
 
-    kwargs: dict = {
-        "backend": backend,
-        "retry": retry,
-        "workers": workers,
-        "model_id": model_id,
-        "temperature": temperature,
-        "max_output_tokens": max_tokens,
-        "keep_raw": args.keep_raw,
-    }
-    if rate_limit is not None:
-        kwargs["rate_limit_rpm"] = int(rate_limit)
-    if cache_dir is not None:
-        kwargs["cache_enabled"] = True
-        kwargs["cache_dir"] = Path(cache_dir)
-    if rules_path:
-        kwargs["rules"] = load_rules(rules_path)
-    if prompt_path:
-        kwargs["prompt"] = load_prompt_config(prompt_path)
-    config = GeneratorConfig(**kwargs)
+    # What is left are GeneratorConfig fields; three of them name files to read.
+    if "model" in settings:
+        settings["model_id"] = settings.pop("model")
+    if "cache_dir" in settings:
+        settings.update(cache_enabled=True, cache_dir=Path(settings["cache_dir"]))
+    if "rules" in settings:
+        settings["rules"] = load_rules(settings["rules"])
+    if "prompt" in settings:
+        settings["prompt"] = load_prompt_config(settings["prompt"])
+    config = GeneratorConfig(backend=backend, keep_raw=args.keep_raw, **settings)
 
     clock: Clock = FixedClock(datetime.fromisoformat(args.fixed_clock)) if args.fixed_clock else SystemClock()
     started = clock.now()
 
-    captions = load_coco_captions(args.captions, split=args.split)
+    captions = load_coco_captions(args.captions)
     log.info("loaded %d captions from %s", len(captions), args.captions)
     summary = generate_corpus(captions, config, args.out, resume=args.resume, clock=clock)
     log.info(
@@ -161,7 +157,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         summary.n_exhausted,
     )
 
-    details = {"out": str(args.out), "prompt_version": config.prompt.version_tag, "model_id": model_id}
+    details = {"out": str(args.out), "prompt_version": config.prompt.version_tag, "model_id": config.model_id}
     return _emit("generate", [args.captions], asdict(summary), started, clock, args.report, details)
 
 
@@ -176,11 +172,10 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
     else:
         lexicon = default_lexicon()
 
-    answers = []
-    for where, row in _read_jsonl(args.answers):
-        image_id = int(_first_key(row, IMAGE_KEYS, where))
-        text = str(_first_key(row, ("answer", "caption", "text"), where))
-        answers.append(AnswerRecord(image_id=image_id, text=text))
+    answers = [
+        AnswerRecord(image_id=read_field(row, IMAGE_KEYS, where, int), text=read_field(row, ("answer", "caption", "text"), where))
+        for where, row in _read_jsonl(args.answers)
+    ]
 
     annotations = {a.image_id: a for a in load_object_annotations(args.instances, lexicon)}
     result = chair_eval(answers, annotations, lexicon)
@@ -210,17 +205,19 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
 # --- eval-vqa -----------------------------------------------------------
 
 
-def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str, ...], cast) -> dict:
+def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str, ...], kind: type) -> dict:
     """Map each id to its references; a single string is one reference, and an id may appear once."""
     refs: dict = {}
     for where, row in _read_jsonl(path):
-        key = cast(_first_key(row, id_keys, where))
+        key = read_field(row, id_keys, where, kind)
         if key in refs:
             raise SchemaViolationError(f"{where}: repeated id {key!r}")
-        value = _first_key(row, value_keys, where)
-        if not isinstance(value, (str, list)):
+        value = read_field(row, value_keys, where, object)
+        if type(value) is str:
+            value = [value]
+        elif type(value) is not list:
             raise SchemaViolationError(f"{where}: references must be a string or a list")
-        refs[key] = tuple(str(v) for v in ([value] if isinstance(value, str) else value))
+        refs[key] = tuple(v if type(v) is str else as_kind(v, str, where, f"references[{j}]") for j, v in enumerate(value))
     return refs
 
 
@@ -231,8 +228,8 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
     items: list[VqaItem] = []
     n_ignored = 0
     for where, row in _read_jsonl(args.pred):
-        qid = str(_first_key(row, QUESTION_KEYS, where))
-        prediction = str(_first_key(row, ("prediction", "answer", "text"), where))
+        qid = read_field(row, QUESTION_KEYS, where)
+        prediction = read_field(row, ("prediction", "answer", "text"), where)
         if qid not in references:
             log.warning("prediction for unknown question %s ignored", qid)
             n_ignored += 1
@@ -263,15 +260,17 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
     clock = SystemClock()
     started = clock.now()
     references = _load_references(args.refs, IMAGE_KEYS, ("references", "captions", "caption"), int)
-    items: list[CaptionItem] = []
+    items: dict[int, CaptionItem] = {}
     for where, row in _read_jsonl(args.pred):
-        image_id = int(_first_key(row, IMAGE_KEYS, where))
-        candidate = str(_first_key(row, ("caption", "prediction", "text"), where))
+        image_id = read_field(row, IMAGE_KEYS, where, int)
+        candidate = read_field(row, ("caption", "prediction", "text"), where)
         if image_id not in references:
             raise SchemaViolationError(f"{args.refs}: no references for image {image_id}")
-        items.append(CaptionItem(image_id=image_id, candidate=candidate, references=references[image_id]))
+        if image_id in items:
+            raise SchemaViolationError(f"{where}: repeated id {image_id}")
+        items[image_id] = CaptionItem(image_id=image_id, candidate=candidate, references=references[image_id])
 
-    eval_set = CaptionEvalSet(items=items)
+    eval_set = CaptionEvalSet(items=list(items.values()))
     bleu_scores = bleu(eval_set)
     cider_score = cider(eval_set, cider_d=args.cider_d)
 
@@ -320,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="build an instruction corpus from captions")
     gen.add_argument("--captions", required=True, help="COCO caption annotation JSON")
-    gen.add_argument("--split", default="train", choices=("train", "val"))
     gen.add_argument("--out", required=True, help="output instruction JSONL")
     gen.add_argument("--config", help="YAML config file; flags and env override it")
     gen.add_argument("--backend", choices=("http", "mock"), default=None)

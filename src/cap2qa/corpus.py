@@ -8,7 +8,8 @@ instruction dataset as JSONL, one record per line with a fixed key order
 This module also owns the package's file readers (:func:`load_json`,
 :func:`iter_jsonl`, :func:`load_yaml`): every JSON, JSONL and YAML input goes
 through one of them, so a missing or malformed file is always the same
-one-line input error.
+one-line input error. Every field of those inputs is then read through
+:func:`read_field`, so a missing or wrongly typed field is one too.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .eval_hallucination import Lexicon
 
-SPLITS = ("train", "val")
-
 # Field names that identify the image in evaluation and foreign QA JSONL.
 IMAGE_KEYS = ("image_id", "image", "img_id")
 
@@ -46,7 +45,6 @@ class CaptionRecord:
     caption_id: int
     image_id: int
     text: str
-    split: str = "train"
 
 
 @dataclass(frozen=True)
@@ -147,22 +145,66 @@ def read_text(path: str | Path) -> str:
         raise MissingFileError(f"no such file: {path}") from exc
 
 
-def _objects(path: str | Path, entries: list, name: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(index, entry)`` for a JSON array that must hold objects only."""
+# For each kind of field: the JSON types it may be converted from besides its
+# own, and its name in errors. A bool is never converted: True is not id 1.
+_KINDS = {
+    str: ((int, float), "a string"),
+    int: ((str,), "an integer"),
+    float: ((int, str), "a number"),
+    list: ((), "a list"),
+    dict: ((), "an object"),
+}
+
+
+def as_kind(value, kind: type, where: str, name: str):
+    """Convert one input value to ``kind``, or raise a one-line error naming ``where`` and ``name``."""
+    if type(value) is kind:
+        return value
+    sources, kind_name = _KINDS[kind]
+    if type(value) in sources:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    shown = json.dumps(value, ensure_ascii=False, default=str)
+    raise SchemaViolationError(f"{where}: {name} must be {kind_name}, got {shown}")
+
+
+def read_field(obj: dict, keys: str | tuple[str, ...], where: str, kind: type = str):
+    """Return the first of ``keys`` present in ``obj``, as ``kind``.
+
+    ``where`` names the place for errors (``file:line`` or ``file: array[i]``).
+    A value that already has type ``kind`` is returned as is; otherwise a
+    string or number is converted (``"12"`` is id 12, ``5`` is text ``"5"``)
+    and anything else (``null``, a bool, a list, an object) is a
+    :class:`SchemaViolationError` naming the key. ``kind=object`` takes any
+    value as it is, for callers that check it themselves.
+    """
+    if type(keys) is str:
+        keys = (keys,)
+    for key in keys:
+        if key in obj:
+            value = obj[key]
+            if type(value) is kind or kind is object:
+                return value
+            return as_kind(value, kind, where, repr(key))
+    raise SchemaViolationError(f"{where}: missing {' or '.join(map(repr, keys))}")
+
+
+def _objects(path: str | Path, entries: list, name: str) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path: name[i]", entry)`` for a JSON array that must hold objects only."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"{path}: {name}[{i}] is not an object")
-        yield i, entry
+        yield f"{path}: {name}[{i}]", entry
 
 
-def load_coco_captions(path: str | Path, split: str = "train") -> list[CaptionRecord]:
+def load_coco_captions(path: str | Path) -> list[CaptionRecord]:
     """Read a COCO caption-annotation JSON into caption records.
 
     One record per entry of the top-level ``annotations`` array, in file
     order; the returned count always equals the array length.
     """
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     data = load_json(path)
     annotations = data.get("annotations")
     if not isinstance(annotations, list):
@@ -170,25 +212,16 @@ def load_coco_captions(path: str | Path, split: str = "train") -> list[CaptionRe
 
     records: list[CaptionRecord] = []
     seen_ids: set[int] = set()
-    for i, entry in _objects(path, annotations, "annotations"):
-        for field in ("id", "image_id", "caption"):
-            if field not in entry:
-                raise SchemaViolationError(f"{path}: annotation {i} missing field {field!r}")
-        text = entry["caption"]
-        if not isinstance(text, str) or not text.strip():
-            raise SchemaViolationError(f"{path}: annotation {i} has an empty caption")
-        caption_id = int(entry["id"])
+    for where, entry in _objects(path, annotations, "annotations"):
+        caption_id = read_field(entry, "id", where, int)
+        image_id = read_field(entry, "image_id", where, int)
+        text = read_field(entry, "caption", where)
+        if not text.strip():
+            raise SchemaViolationError(f"{where}: empty caption")
         if caption_id in seen_ids:
-            raise SchemaViolationError(f"{path}: annotation {i} reuses caption id {caption_id}")
+            raise SchemaViolationError(f"{where}: reuses caption id {caption_id}")
         seen_ids.add(caption_id)
-        records.append(
-            CaptionRecord(
-                caption_id=caption_id,
-                image_id=int(entry["image_id"]),
-                text=text,
-                split=split,
-            )
-        )
+        records.append(CaptionRecord(caption_id=caption_id, image_id=image_id, text=text))
     return records
 
 
@@ -200,11 +233,10 @@ def load_object_annotations(
     Positives are the categories with at least one instance annotation,
     restricted to the given vocabulary; negatives are the rest of the
     vocabulary. Images listed in the file but without annotations get empty
-    positives.
+    positives. Images come in the order of the ``images`` array, then in the
+    order annotations first name the rest.
     """
-    names = getattr(vocabulary, "categories", vocabulary)
-    vocab = list(dict.fromkeys(names))
-    vocab_set = set(vocab)
+    vocab_set = set(getattr(vocabulary, "categories", vocabulary))
 
     data = load_json(instances_path)
     categories = data.get("categories")
@@ -218,48 +250,28 @@ def load_object_annotations(
         raise SchemaViolationError(f"{instances_path}: expected 'images' to be an array")
 
     id_to_name: dict[int, str] = {}
-    for i, cat in _objects(instances_path, categories, "categories"):
-        if "id" not in cat or "name" not in cat:
-            raise SchemaViolationError(f"{instances_path}: category {i} missing 'id' or 'name'")
-        id_to_name[int(cat["id"])] = str(cat["name"])
+    for where, cat in _objects(instances_path, categories, "categories"):
+        id_to_name[read_field(cat, "id", where, int)] = read_field(cat, "name", where)
 
-    image_order: list[int] = []
-    seen_images: set[int] = set()
-    for _, img in _objects(instances_path, images, "images"):
-        image_id = int(img["id"]) if "id" in img else None
-        if image_id is None:
-            raise SchemaViolationError(f"{instances_path}: image entry missing 'id'")
-        if image_id not in seen_images:
-            seen_images.add(image_id)
-            image_order.append(image_id)
-
-    positives: dict[int, set[str]] = {image_id: set() for image_id in image_order}
-    for i, ann in _objects(instances_path, annotations, "annotations"):
-        if "image_id" not in ann or "category_id" not in ann:
-            raise SchemaViolationError(
-                f"{instances_path}: annotation {i} missing 'image_id' or 'category_id'"
-            )
-        category_id = int(ann["category_id"])
+    positives: dict[int, set[str]] = {}
+    for where, img in _objects(instances_path, images, "images"):
+        positives.setdefault(read_field(img, "id", where, int), set())
+    for where, ann in _objects(instances_path, annotations, "annotations"):
+        category_id = read_field(ann, "category_id", where, int)
         if category_id not in id_to_name:
-            raise UnknownCategoryIdError(
-                f"{instances_path}: annotation {i} has unknown category_id {category_id}"
-            )
-        image_id = int(ann["image_id"])
-        if image_id not in seen_images:
-            seen_images.add(image_id)
-            image_order.append(image_id)
-            positives[image_id] = set()
+            raise UnknownCategoryIdError(f"{where}: unknown category_id {category_id}")
+        found = positives.setdefault(read_field(ann, "image_id", where, int), set())
         name = id_to_name[category_id]
         if name in vocab_set:
-            positives[image_id].add(name)
+            found.add(name)
 
     return [
         ObjectAnnotation(
             image_id=image_id,
-            positive_categories=frozenset(positives[image_id]),
-            negative_categories=frozenset(vocab_set - positives[image_id]),
+            positive_categories=frozenset(found),
+            negative_categories=frozenset(vocab_set - found),
         )
-        for image_id in image_order
+        for image_id, found in positives.items()
     ]
 
 
@@ -284,25 +296,29 @@ def record_to_line(record: InstructionRecord) -> str:
 
 
 def _record_from_dict(obj: dict, where: str) -> InstructionRecord:
+    prov = read_field(obj, "provenance", where, dict)
+    sources = read_field(obj, "source_caption_ids", where, list)
+    in_prov = f"{where}: provenance"
     try:
-        prov = obj["provenance"]
-        created_at = datetime.fromisoformat(prov["created_at"])
-        if created_at.tzinfo is None:
-            created_at = created_at.replace(tzinfo=timezone.utc)
-        record = InstructionRecord(
-            image_id=int(obj["image_id"]),
-            question=str(obj["question"]),
-            answer=str(obj["answer"]),
-            source_caption_ids=tuple(int(c) for c in obj["source_caption_ids"]),
-            provenance=Provenance(
-                model_id=str(prov["model_id"]),
-                prompt_version=str(prov["prompt_version"]),
-                attempt=int(prov["attempt"]),
-                created_at=created_at,
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolationError(f"{where}: bad instruction record ({exc})") from exc
+        created_at = datetime.fromisoformat(read_field(prov, "created_at", in_prov))
+    except ValueError as exc:
+        raise SchemaViolationError(f"{in_prov}: bad 'created_at' ({exc})") from exc
+    if created_at.tzinfo is None:
+        created_at = created_at.replace(tzinfo=timezone.utc)
+    record = InstructionRecord(
+        image_id=read_field(obj, "image_id", where, int),
+        question=read_field(obj, "question", where),
+        answer=read_field(obj, "answer", where),
+        source_caption_ids=tuple(
+            c if type(c) is int else as_kind(c, int, where, f"'source_caption_ids'[{j}]") for j, c in enumerate(sources)
+        ),
+        provenance=Provenance(
+            model_id=read_field(prov, "model_id", in_prov),
+            prompt_version=read_field(prov, "prompt_version", in_prov),
+            attempt=read_field(prov, "attempt", in_prov, int),
+            created_at=created_at,
+        ),
+    )
     if not record.question.strip() or not record.answer.strip():
         raise SchemaViolationError(f"{where}: question and answer must be non-empty")
     return record

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Errors are split into two broad families: input problems (bad files, bad
-schemas, bad arguments) and runtime failures (backends, I/O). The CLI maps
-the former to exit code 1 and the latter to exit code 2.
+Every error belongs to one of two families: :class:`InputError` (bad files,
+bad schemas, bad arguments) and :class:`RuntimeFailure` (backends, I/O). The
+CLI maps the former to exit code 1 and the latter to exit code 2.
 """
 
 
@@ -10,104 +10,85 @@ class Cap2qaError(Exception):
     """Base class for all package errors."""
 
 
-# --- input / validation problems ---------------------------------------------
+class InputError(Cap2qaError):
+    """A bad input file, schema or argument: exit code 1."""
 
 
-class MissingFileError(Cap2qaError):
+class RuntimeFailure(Cap2qaError):
+    """A backend or I/O failure: exit code 2."""
+
+
+class MissingFileError(InputError):
     pass
 
 
-class MalformedJsonError(Cap2qaError):
+class MalformedJsonError(InputError):
     def __init__(self, path, offset, message="malformed JSON"):
         super().__init__(f"{path}: {message} at offset {offset}")
         self.path = str(path)
         self.offset = offset
 
 
-class SchemaViolationError(Cap2qaError):
+class SchemaViolationError(InputError):
     pass
 
 
-class MalformedLineError(Cap2qaError):
+class MalformedLineError(InputError):
     def __init__(self, path, line_no, message="malformed line"):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
 
 
-class UnknownCategoryIdError(Cap2qaError):
+class UnknownCategoryIdError(InputError):
     pass
 
 
-class UnknownCategoryError(Cap2qaError):
+class UnknownCategoryError(InputError):
     pass
 
 
-class DuplicateSurfaceFormError(Cap2qaError):
+class DuplicateSurfaceFormError(InputError):
     pass
 
 
-class MissingAnnotationError(Cap2qaError):
+class MissingAnnotationError(InputError):
     def __init__(self, image_id):
         super().__init__(f"no object annotation for image_id {image_id}")
         self.image_id = image_id
 
 
-class DuplicateQuestionIdError(Cap2qaError):
+class DuplicateQuestionIdError(InputError):
     pass
 
 
-class EmptyCaptionError(Cap2qaError):
+class EmptyCaptionError(InputError):
     pass
 
 
-class EmptyCorpusError(Cap2qaError):
+class EmptyCorpusError(InputError):
     pass
 
 
-# --- runtime failures ---------------------------------------------------------
-
-
-class IoFailureError(Cap2qaError):
+class IoFailureError(RuntimeFailure):
     pass
 
 
-class BackendUnavailableError(Cap2qaError):
+class BackendUnavailableError(RuntimeFailure):
     pass
 
 
-class AuthFailureError(Cap2qaError):
+class AuthFailureError(RuntimeFailure):
     pass
 
 
-class ScriptExhaustedError(Cap2qaError):
+class ScriptExhaustedError(RuntimeFailure):
     pass
 
 
-class ResponseEmptyError(Cap2qaError):
+class ResponseEmptyError(RuntimeFailure):
     pass
 
 
-VALIDATION_ERRORS = (
-    MissingFileError,
-    MalformedJsonError,
-    SchemaViolationError,
-    MalformedLineError,
-    UnknownCategoryIdError,
-    UnknownCategoryError,
-    DuplicateSurfaceFormError,
-    MissingAnnotationError,
-    DuplicateQuestionIdError,
-    EmptyCaptionError,
-    EmptyCorpusError,
-    ValueError,
-)
-
-RUNTIME_ERRORS = (
-    IoFailureError,
-    BackendUnavailableError,
-    AuthFailureError,
-    ScriptExhaustedError,
-    ResponseEmptyError,
-    OSError,
-)
+VALIDATION_ERRORS = (InputError, ValueError)
+RUNTIME_ERRORS = (RuntimeFailure, OSError)

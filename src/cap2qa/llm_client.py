@@ -26,13 +26,12 @@ from pathlib import Path
 import requests
 
 from .clocks import Clock, SystemClock
-from .corpus import iter_jsonl
+from .corpus import iter_jsonl, read_field
 from .errors import (
     AuthFailureError,
     BackendUnavailableError,
     ResponseEmptyError,
     ScriptExhaustedError,
-    SchemaViolationError,
 )
 
 API_KEY_ENV = "CAP2QA_API_KEY"
@@ -101,12 +100,11 @@ class MockScript:
         responses: list[str] = []
         by_hash: dict[str, str] = {}
         for where, obj in iter_jsonl(path):
-            if "response_text" not in obj:
-                raise SchemaViolationError(f"{where}: entry missing 'response_text'")
+            text = read_field(obj, "response_text", where)
             if obj.get("prompt_hash"):
-                by_hash[str(obj["prompt_hash"])] = str(obj["response_text"])
+                by_hash[read_field(obj, "prompt_hash", where)] = text
             else:
-                responses.append(str(obj["response_text"]))
+                responses.append(text)
         return cls(responses, by_hash)
 
     def next_for(self, prompt_text: str) -> str:

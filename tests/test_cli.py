@@ -397,6 +397,22 @@ class TestInputErrors:
         code, lines = run_main(caplog, "eval-caption", "--pred", pred, "--refs", refs)
         assert (code, lines) == (1, [f"{refs}:3: repeated id 1"])
 
+    def test_repeated_pred_image_id_is_exit_1(self, tmp_path, caplog):
+        refs = write_jsonl(
+            tmp_path / "refs.jsonl",
+            [{"image_id": 1, "captions": ["a red bird"]}, {"image_id": 2, "captions": ["two dogs"]}],
+        )
+        pred = write_jsonl(
+            tmp_path / "pred.jsonl",
+            [
+                {"image_id": 1, "caption": "a red bird"},
+                {"image_id": 2, "caption": "two dogs"},
+                {"image": 1, "caption": "a blue bird"},
+            ],
+        )
+        code, lines = run_main(caplog, "eval-caption", "--pred", pred, "--refs", refs)
+        assert (code, lines) == (1, [f"{pred}:3: repeated id 1"])
+
     def test_non_list_reference_is_exit_1(self, tmp_path, caplog):
         gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": 1, "answer": 5}])
         pred = write_jsonl(tmp_path / "p.jsonl", [{"question_id": 1, "prediction": "5"}])
@@ -418,3 +434,86 @@ class TestInputErrors:
         code, lines = run_main(caplog, "report", "--in", path)
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith(f"{path}: ")
+
+
+# --- wrongly typed fields: exit 1 with one line naming the file and the key ---
+
+# Valid inputs for every command, about image 1 (and 2 for CIDEr), question 1 and category 1.
+FIELD_INPUTS = {
+    "captions.json": {"images": [{"id": 1}], "annotations": [{"id": 1, "image_id": 1, "caption": "A cat sits."}]},
+    "instances.json": {
+        "images": [{"id": 1}],
+        "categories": [{"id": 1, "name": "cat"}],
+        "annotations": [{"image_id": 1, "category_id": 1}],
+    },
+    "answers.jsonl": [{"image_id": 1, "answer": "a cat"}],
+    "vqa-pred.jsonl": [{"question_id": 1, "prediction": "cat"}],
+    "gt.jsonl": [{"question_id": 1, "answers": ["cat"]}],
+    "caption-pred.jsonl": [{"image_id": 1, "caption": "a cat"}, {"image_id": 2, "caption": "a dog"}],
+    "refs.jsonl": [{"image_id": 1, "captions": ["a cat"]}, {"image_id": 2, "captions": ["a dog"]}],
+    "script.jsonl": [{"response_text": "Question: What sits?\nAnswer: A cat."}],
+}
+FIELD_COMMANDS = {
+    "generate": ["generate", "--captions", "captions.json", "--out", "out.jsonl", "--backend", "mock", "--script", "script.jsonl"],
+    "eval-chair": ["eval-chair", "--answers", "answers.jsonl", "--instances", "instances.json"],
+    "eval-vqa": ["eval-vqa", "--pred", "vqa-pred.jsonl", "--gt", "gt.jsonl"],
+    "eval-caption": ["eval-caption", "--pred", "caption-pred.jsonl", "--refs", "refs.jsonl"],
+}
+# (command, file, array of the JSON file or None for the first JSONL row, key)
+ID_FIELDS = [
+    ("generate", "captions.json", "annotations", "id"),
+    ("generate", "captions.json", "annotations", "image_id"),
+    ("eval-chair", "instances.json", "categories", "id"),
+    ("eval-chair", "instances.json", "images", "id"),
+    ("eval-chair", "instances.json", "annotations", "image_id"),
+    ("eval-chair", "instances.json", "annotations", "category_id"),
+    ("eval-chair", "answers.jsonl", None, "image_id"),
+    ("eval-vqa", "vqa-pred.jsonl", None, "question_id"),
+    ("eval-vqa", "gt.jsonl", None, "question_id"),
+    ("eval-caption", "caption-pred.jsonl", None, "image_id"),
+    ("eval-caption", "refs.jsonl", None, "image_id"),
+]
+BAD_FIELDS = [
+    pytest.param(command, name, array, key, value, id=f"{name}-{array or 'row'}-{key}-{label}")
+    for command, name, array, key in ID_FIELDS
+    for label, value in (("null", None), ("true", True), ("list", [1]))
+] + [pytest.param("generate", "script.jsonl", None, "response_text", None, id="script.jsonl-row-response_text-null")]
+
+
+def write_field_inputs(tmp_path, command, name=None, array=None, key=None, value=None):
+    """Write FIELD_INPUTS with one field replaced; return the command's argv."""
+    for file_name, payload in FIELD_INPUTS.items():
+        payload = json.loads(json.dumps(payload))
+        if file_name == name:
+            (payload[array] if array else payload)[0][key] = value
+        if file_name.endswith(".jsonl"):
+            write_jsonl(tmp_path / file_name, payload)
+        else:
+            (tmp_path / file_name).write_text(json.dumps(payload), encoding="utf-8")
+    return [str(tmp_path / a) if "." in a else a for a in FIELD_COMMANDS[command]]
+
+
+class TestFieldErrors:
+    @pytest.mark.parametrize("command", FIELD_COMMANDS)
+    def test_valid_inputs_pass(self, tmp_path, caplog, command):
+        code, _ = run_main(caplog, *write_field_inputs(tmp_path, command))
+        assert code == 0
+
+    @pytest.mark.parametrize("command, name, array, key, value", BAD_FIELDS)
+    def test_bad_field_is_exit_1_naming_file_and_key(self, tmp_path, caplog, command, name, array, key, value):
+        code, lines = run_main(caplog, *write_field_inputs(tmp_path, command, name, array, key, value))
+        assert code == 1
+        assert len(lines) == 1
+        assert str(tmp_path / name) in lines[0] and f"'{key}'" in lines[0]
+
+    @pytest.mark.parametrize(
+        "content, key",
+        [("worker: 8\n", "worker"), ("workers: [2]\n", "workers"), ("retry: null\n", "retry"), ("rules: [a]\n", "rules")],
+    )
+    def test_bad_config_is_exit_1_naming_file_and_key(self, tmp_path, caplog, content, key):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(content, encoding="utf-8")
+        code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--config", config)
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{config}: ") and f"'{key}'" in lines[0]

@@ -15,6 +15,7 @@ from cap2qa.corpus import (
     load_json,
     load_object_annotations,
     load_yaml,
+    read_field,
     read_instructions,
     record_to_line,
     scan_jsonl_stats,
@@ -54,17 +55,8 @@ class TestLoadCaptions:
         )
         records = load_coco_captions(path)
         assert len(records) == 3
-        assert records[0] == CaptionRecord(1, 10, "a cat", "train")
+        assert records[0] == CaptionRecord(1, 10, "a cat")
         assert records[2].image_id == 11
-
-    def test_val_split_tag(self, tmp_path):
-        path = write_caption_file(tmp_path / "c.json", [(1, 10, "x y")])
-        assert load_coco_captions(path, split="val")[0].split == "val"
-
-    def test_bad_split_rejected(self, tmp_path):
-        path = write_caption_file(tmp_path / "c.json", [(1, 10, "x")])
-        with pytest.raises(ValueError):
-            load_coco_captions(path, split="test")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
@@ -257,6 +249,29 @@ class TestStats:
 
 
 class TestReaders:
+    @pytest.mark.parametrize(
+        "value, kind, expected",
+        [(12, int, 12), ("12", int, 12), ("q1", str, "q1"), (5, str, "5"), (1, float, 1.0), ("0.5", float, 0.5)],
+    )
+    def test_read_field_takes_strings_and_numbers(self, value, kind, expected):
+        got = read_field({"id": value}, ("question_id", "id"), "f.jsonl:2", kind)
+        assert (got, type(got)) == (expected, kind)
+
+    @pytest.mark.parametrize(
+        "value, kind, shown",
+        [(None, int, "null"), (True, int, "true"), ([1], int, "[1]"), (1.5, int, "1.5"), ("x", int, '"x"'),
+         (False, str, "false"), ({}, str, "{}"), ("", float, '""')],
+    )
+    def test_read_field_rejects_in_one_line(self, value, kind, shown):
+        with pytest.raises(SchemaViolationError) as info:
+            read_field({"id": value}, ("question_id", "id"), "f.jsonl:2", kind)
+        assert str(info.value).startswith("f.jsonl:2: 'id' must be ")
+        assert str(info.value).endswith(f", got {shown}")
+
+    def test_read_field_names_every_key_when_missing(self):
+        with pytest.raises(SchemaViolationError, match=r"^f\.jsonl:2: missing 'image_id' or 'image'$"):
+            read_field({"id": 1}, ("image_id", "image"), "f.jsonl:2", int)
+
     def test_iter_jsonl_names_each_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
