@@ -172,12 +172,14 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
     else:
         lexicon = default_lexicon()
 
-    answers = [
-        AnswerRecord(image_id=read_field(row, IMAGE_KEYS, where, int), text=read_field(row, ("answer", "caption", "text"), where))
-        for where, row in _read_jsonl(args.answers)
-    ]
-
     annotations = {a.image_id: a for a in load_object_annotations(args.instances, lexicon)}
+    answers: list[AnswerRecord] = []
+    for where, row in _read_jsonl(args.answers):
+        image_id = read_field(row, IMAGE_KEYS, where, int)
+        if image_id not in annotations:
+            raise SchemaViolationError(f"{where}: no object annotation for image_id {image_id} in {args.instances}")
+        answers.append(AnswerRecord(image_id=image_id, text=read_field(row, ("answer", "caption", "text"), where)))
+
     result = chair_eval(answers, annotations, lexicon)
 
     metrics = {
@@ -217,6 +219,8 @@ def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str,
             value = [value]
         elif type(value) is not list:
             raise SchemaViolationError(f"{where}: references must be a string or a list")
+        elif not value:
+            raise SchemaViolationError(f"{where}: references must be non-empty")
         refs[key] = tuple(v if type(v) is str else as_kind(v, str, where, f"references[{j}]") for j, v in enumerate(value))
     return refs
 
@@ -270,6 +274,11 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
             raise SchemaViolationError(f"{where}: repeated id {image_id}")
         items[image_id] = CaptionItem(image_id=image_id, candidate=candidate, references=references[image_id])
 
+    # A reference image with no prediction is neither scored nor counted in CIDEr's document frequencies.
+    ignored = [image_id for image_id in references if image_id not in items]
+    if ignored:
+        log.warning("%d images in %s have no prediction and are ignored (first: %s)", len(ignored), args.refs, ignored[:5])
+
     eval_set = CaptionEvalSet(items=list(items.values()))
     bleu_scores = bleu(eval_set)
     cider_score = cider(eval_set, cider_d=args.cider_d)
@@ -281,6 +290,7 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
         "bleu_4": bleu_scores[3],
         "cider": cider_score,
         "n_items": len(items),
+        "n_ignored": len(ignored),
     }
     details = {"cider_variant": "cider-d" if args.cider_d else "cider"}
     return _emit("eval-caption", [args.pred, args.refs], metrics, started, clock, args.report, details)

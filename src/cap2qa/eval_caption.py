@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,10 +55,10 @@ class CaptionEvalSet:
 
 
 def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
+    """Counts of every n-gram, n = 1..max_n, keyed by order then first position."""
     counts: Counter = Counter()
     for n in range(1, max_n + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
+        counts.update(zip(*[tokens[i:] for i in range(n)]))
     return counts
 
 
@@ -82,15 +82,19 @@ def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
         # Closest reference length; ties go to the shorter reference.
         reference_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
 
+        # Each candidate n-gram is clipped to its highest count in one reference.
         cand_counts = _ngram_counts(cand, max_n)
-        max_ref_counts: Counter = Counter()
+        clip = dict.fromkeys(cand_counts, 0)
         for ref in refs:
-            for ngram, count in _ngram_counts(ref, max_n).items():
-                max_ref_counts[ngram] = max(max_ref_counts[ngram], count)
+            ref_counts = _ngram_counts(ref, max_n)
+            for ngram, best in clip.items():
+                count = ref_counts.get(ngram, 0)
+                if count > best:
+                    clip[ngram] = count
         for n in range(1, max_n + 1):
             guess[n - 1] += max(0, len(cand) - n + 1)
         for ngram, count in cand_counts.items():
-            correct[len(ngram) - 1] += min(count, max_ref_counts.get(ngram, 0))
+            correct[len(ngram) - 1] += min(count, clip[ngram])
 
     if candidate_len > 0 and candidate_len < reference_len:
         brevity_penalty = math.exp(1.0 - reference_len / candidate_len)
@@ -108,40 +112,19 @@ def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
     return scores
 
 
-def _stemmed_ngram_counts(text: str, max_n: int) -> Counter:
-    return _ngram_counts([_stem_cached(t) for t in tokenize(text)], max_n)
+def _stemmed_ngram_counts(text: str, max_n: int) -> tuple[Counter, int]:
+    tokens = [_stem_cached(t) for t in tokenize(text)]
+    return _ngram_counts(tokens, max_n), len(tokens)
 
 
-def _tfidf_vector(counts: Counter, doc_freq: Counter, log_corpus_size: float, max_n: int):
-    """Per-order sparse TF-IDF vectors, their norms, and the token length."""
-    vec: list[dict] = [defaultdict(float) for _ in range(max_n)]
+def _tfidf(counts: Counter, length: int, idf: dict, log_corpus_size: float, max_n: int):
+    """One text's TF-IDF weights (one dict over all orders), per-order norms and token length."""
+    vec = {}
     norm = [0.0] * max_n
-    length = 0
     for ngram, term_freq in counts.items():
-        idf = log_corpus_size - math.log(max(1.0, doc_freq[ngram]))
-        n = len(ngram) - 1
-        vec[n][ngram] = term_freq * idf
-        norm[n] += vec[n][ngram] ** 2
-        if n == 0:
-            length += term_freq
+        weight = vec[ngram] = term_freq * idf.get(ngram, log_corpus_size)
+        norm[len(ngram) - 1] += weight**2
     return vec, [math.sqrt(x) for x in norm], length
-
-
-def _cosine(vec_a, vec_b, norm_a, norm_b, delta: float, cider_d: bool, max_n: int) -> list[float]:
-    sims = [0.0] * max_n
-    for n in range(max_n):
-        dot = 0.0
-        for ngram, weight in vec_a[n].items():
-            other = vec_b[n].get(ngram, 0.0)
-            if cider_d:
-                dot += min(weight, other) * other
-            else:
-                dot += weight * other
-        if norm_a[n] != 0.0 and norm_b[n] != 0.0:
-            sims[n] = dot / (norm_a[n] * norm_b[n])
-        if cider_d:
-            sims[n] *= math.exp(-(delta**2) / (2 * CIDER_D_SIGMA**2))
-    return sims
 
 
 def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: int = NGRAM_ORDERS) -> list[float]:
@@ -153,22 +136,35 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: in
     cand_counts = [_stemmed_ngram_counts(item.candidate, max_n) for item in eval_set.items]
     ref_counts = [[_stemmed_ngram_counts(r, max_n) for r in item.references] for item in eval_set.items]
 
-    # A document is one item's reference set.
+    # A document is one item's reference set; an n-gram in none of them gets log N.
     doc_freq: Counter = Counter()
     for refs in ref_counts:
-        for ngram in {ngram for ref in refs for ngram in ref}:
-            doc_freq[ngram] += 1
+        doc_freq.update(set().union(*(counts for counts, _ in refs)))
     log_corpus_size = math.log(len(eval_set.items))
+    idf = {ngram: log_corpus_size - math.log(max(1, df)) for ngram, df in doc_freq.items()}
 
     scores: list[float] = []
     for cand, refs in zip(cand_counts, ref_counts):
-        cand_vec, cand_norm, cand_len = _tfidf_vector(cand, doc_freq, log_corpus_size, max_n)
+        cand_vec, cand_norm, cand_len = _tfidf(*cand, idf, log_corpus_size, max_n)
         per_n_total = [0.0] * max_n
         for ref in refs:
-            ref_vec, ref_norm, ref_len = _tfidf_vector(ref, doc_freq, log_corpus_size, max_n)
-            sims = _cosine(cand_vec, ref_vec, cand_norm, ref_norm, float(cand_len - ref_len), cider_d, max_n)
+            ref_vec, ref_norm, ref_len = _tfidf(*ref, idf, log_corpus_size, max_n)
+            # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped.
+            dot = [0.0] * max_n
+            if cider_d:
+                for ngram, weight in cand_vec.items():
+                    if ngram in ref_vec:
+                        other = ref_vec[ngram]
+                        dot[len(ngram) - 1] += min(weight, other) * other
+                penalty = math.exp(-(float(cand_len - ref_len) ** 2) / (2 * CIDER_D_SIGMA**2))
+            else:
+                for ngram, weight in cand_vec.items():
+                    if ngram in ref_vec:
+                        dot[len(ngram) - 1] += weight * ref_vec[ngram]
+                penalty = 1.0
             for n in range(max_n):
-                per_n_total[n] += sims[n]
+                if cand_norm[n] != 0.0 and ref_norm[n] != 0.0:
+                    per_n_total[n] += dot[n] / (cand_norm[n] * ref_norm[n]) * penalty
         mean_over_n = sum(total / len(refs) for total in per_n_total) / max_n
         scores.append(mean_over_n * CIDER_SCALE)
     return scores

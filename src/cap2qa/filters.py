@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import yaml
 
-from .corpus import load_yaml
+from .corpus import _objects, load_yaml, read_field
 from .errors import SchemaViolationError
 
 if TYPE_CHECKING:
@@ -132,18 +132,14 @@ def load_rules(path: str | Path) -> list[FilterRule]:
     if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
         raise SchemaViolationError(f"{path}: expected a top-level 'rules' list")
     rules: list[FilterRule] = []
-    for i, entry in enumerate(doc["rules"]):
+    for where, entry in _objects(path, doc["rules"], "rules"):
+        fields = {key: read_field(entry, key, where) for key in ("rule_id", "scope", "pattern")}
+        if "description" in entry:
+            fields["description"] = read_field(entry, "description", where)
         try:
-            rules.append(
-                FilterRule(
-                    rule_id=str(entry["rule_id"]),
-                    scope=str(entry["scope"]),
-                    pattern=str(entry["pattern"]),
-                    description=str(entry.get("description", "")),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(f"{path}: rule {i}: {exc}") from exc
+            rules.append(FilterRule(**fields))
+        except ValueError as exc:
+            raise SchemaViolationError(f"{where}: {exc}") from exc
     try:
         _check_unique_ids(rules)
     except ValueError as exc:

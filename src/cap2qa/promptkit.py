@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .corpus import CaptionRecord, load_yaml
+from .corpus import CaptionRecord, as_kind, load_yaml, read_field
 from .errors import EmptyCaptionError, SchemaViolationError
 
 DEFAULT_BOTTOM_RULES = (
@@ -128,14 +128,14 @@ def load_prompt_config(path: str | Path) -> PromptConfig:
     doc = load_yaml(path)
     if not isinstance(doc, dict):
         raise SchemaViolationError(f"{path}: prompt config must be a mapping")
+
+    def strings(key: str) -> list[str]:
+        return [as_kind(v, str, path, f"{key}[{j}]") for j, v in enumerate(read_field(doc, key, path, list))]
+
+    label = read_field(doc, "label", path) if "label" in doc else path.stem
     try:
-        bottom_rules = [str(r) for r in doc["bottom_rules"]]
-        task_description = str(doc["task_description"])
-        conditions = [str(c) for c in doc["conditions"]]
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolationError(f"{path}: prompt config missing part ({exc})") from exc
-    label = str(doc.get("label", path.stem))
-    try:
-        return PromptConfig.from_parts(bottom_rules, task_description, conditions, label=label)
+        return PromptConfig.from_parts(
+            strings("bottom_rules"), read_field(doc, "task_description", path), strings("conditions"), label=label
+        )
     except ValueError as exc:
         raise SchemaViolationError(f"{path}: {exc}") from exc

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import cap2qa
 from cap2qa.cli import main
@@ -246,6 +247,27 @@ class TestEvalCaption:
         pred = write_jsonl(tmp_path / "pred.jsonl", [{"image_id": 2, "caption": "b"}])
         assert main(["eval-caption", "--pred", str(pred), "--refs", str(refs)]) == 1
 
+    def test_reference_without_prediction_is_counted_as_ignored(self, tmp_path, capsys, caplog):
+        rows = [
+            {"image_id": 1, "captions": ["a red bird sits on a branch"]},
+            {"image_id": 2, "captions": ["two dogs run across the field"]},
+            {"image_id": 3, "captions": ["a red car on the road"]},
+        ]
+        pred = write_jsonl(
+            tmp_path / "pred.jsonl",
+            [{"image_id": 1, "caption": "a red bird on a branch"}, {"image_id": 2, "caption": "two dogs run"}],
+        )
+        metrics = []
+        for name, refs_rows in (("all", rows), ("scored", rows[:2])):
+            refs = write_jsonl(tmp_path / f"{name}.jsonl", refs_rows)
+            assert main(["eval-caption", "--pred", str(pred), "--refs", str(refs)]) == 0
+            metrics.append(json.loads(capsys.readouterr().out)["metrics"])
+        assert (metrics[0]["n_items"], metrics[0]["n_ignored"], metrics[1]["n_ignored"]) == (2, 1, 0)
+        # The ignored image enters neither the score nor CIDEr's document frequencies.
+        assert {k: v for k, v in metrics[0].items() if k != "n_ignored"} == {k: v for k, v in metrics[1].items() if k != "n_ignored"}
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"1 images in {tmp_path / 'all.jsonl'} have no prediction and are ignored (first: [3])"]
+
 
 class TestStats:
     def test_strict_on_generated_corpus(self, generated, capsys):
@@ -413,6 +435,25 @@ class TestInputErrors:
         code, lines = run_main(caplog, "eval-caption", "--pred", pred, "--refs", refs)
         assert (code, lines) == (1, [f"{pred}:3: repeated id 1"])
 
+    @pytest.mark.parametrize(
+        "command, ref_file, ref_row, pred_row",
+        [
+            ("eval-caption", "--refs", {"image_id": 1, "captions": []}, {"image_id": 1, "caption": "a red bird"}),
+            ("eval-vqa", "--gt", {"question_id": 1, "answers": []}, {"question_id": 1, "prediction": "dog"}),
+        ],
+    )
+    def test_empty_reference_list_is_exit_1(self, tmp_path, caplog, command, ref_file, ref_row, pred_row):
+        refs = write_jsonl(tmp_path / "refs.jsonl", [ref_row])
+        pred = write_jsonl(tmp_path / "pred.jsonl", [pred_row])
+        code, lines = run_main(caplog, command, "--pred", pred, ref_file, refs)
+        assert (code, lines) == (1, [f"{refs}:1: references must be non-empty"])
+
+    def test_answer_without_annotation_is_exit_1(self, tmp_path, caplog):
+        instances = write_instance_file(tmp_path / "inst.json", categories={1: "cat"}, annotations=[(10, 1)])
+        answers = write_jsonl(tmp_path / "a.jsonl", [{"image_id": 10, "answer": "a cat"}, {"image_id": 2, "answer": "a dog"}])
+        code, lines = run_main(caplog, "eval-chair", "--answers", answers, "--instances", instances)
+        assert (code, lines) == (1, [f"{answers}:2: no object annotation for image_id 2 in {instances}"])
+
     def test_non_list_reference_is_exit_1(self, tmp_path, caplog):
         gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": 1, "answer": 5}])
         pred = write_jsonl(tmp_path / "p.jsonl", [{"question_id": 1, "prediction": "5"}])
@@ -517,3 +558,42 @@ class TestFieldErrors:
         assert code == 1
         assert len(lines) == 1
         assert lines[0].startswith(f"{config}: ") and f"'{key}'" in lines[0]
+
+
+# --- rule and prompt files: each field is read through the checked reader ---
+
+RULE = {"rule_id": "no-caption", "scope": "either", "pattern": "caption"}
+PROMPT = {"bottom_rules": ["Stay on the caption."], "task_description": "Ask about it.", "conditions": ["One pair."]}
+BAD_VALUES = [("null", None), ("true", True), ("list", ["x"]), ("object", {"x": 1})]
+
+
+def write_yaml(path, doc):
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "flag, doc, key",
+    [
+        pytest.param("--rules", {"rules": [{**RULE, key: value}]}, key, id=f"rules-{key}-{label}")
+        for key in ("rule_id", "scope", "pattern", "description")
+        for label, value in BAD_VALUES
+    ]
+    + [
+        pytest.param("--prompt", {**PROMPT, key: value}, key, id=f"prompt-{key}-{label}")
+        for key in ("task_description", "label")
+        for label, value in BAD_VALUES
+    ]
+    + [
+        pytest.param("--prompt", {**PROMPT, key: [value]}, key, id=f"prompt-{key}-item-{label}")
+        for key in ("bottom_rules", "conditions")
+        for label, value in BAD_VALUES
+    ],
+)
+def test_bad_rule_or_prompt_field_is_exit_1_naming_file_and_key(tmp_path, caplog, mock_generate, flag, doc, key):
+    path = write_yaml(tmp_path / "file.yaml", doc)
+    code, lines = run_main(caplog, *mock_generate, flag, path)
+    assert code == 1
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{path}: ")
+    assert f"'{key}' must be" in lines[0] or f"{key}[0] must be" in lines[0]

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cap2qa.errors import EmptyCorpusError
 from cap2qa.eval_caption import (
@@ -28,6 +30,10 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("...") == []
+
+    def test_regex_not_ptb_splits_contractions(self):
+        # The PTB tokenizer of coco-caption keeps "n't" and "'s" as tokens; this regex drops the apostrophe.
+        assert tokenize("The man's dog isn't here.") == ["the", "man", "s", "dog", "isn", "t", "here"]
 
 
 class TestBleu:
@@ -239,3 +245,81 @@ class TestCiderD:
         plain = cider_per_item(corpus(*items))
         penalized = cider_per_item(corpus(*items), cider_d=True)
         assert penalized[0] < plain[0]
+
+
+def oracle_cider_d(items, max_n=4, sigma=6.0):
+    """Independent CIDEr-D: clipped TF-IDF numerator and a Gaussian penalty on the token-length gap."""
+
+    def tokens(text):
+        return [stem(t) for t in tokenize(text)]
+
+    def grams(toks, n):
+        return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+
+    n_docs = len(items)
+    doc_freq = Counter()
+    for _, refs in items:
+        doc_freq.update({g for ref in refs for n in range(1, max_n + 1) for g in grams(tokens(ref), n)})
+
+    def weights(toks, n):
+        vec = {g: tf * (math.log(n_docs) - math.log(max(1, doc_freq[g]))) for g, tf in grams(toks, n).items()}
+        return vec, math.sqrt(sum(w * w for w in vec.values()))
+
+    scores = []
+    for cand, refs in items:
+        cand_toks = tokens(cand)
+        per_n = []
+        for n in range(1, max_n + 1):
+            cand_vec, cand_norm = weights(cand_toks, n)
+            total = 0.0
+            for ref in refs:
+                ref_toks = tokens(ref)
+                ref_vec, ref_norm = weights(ref_toks, n)
+                dot = sum(min(w, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0) for g, w in cand_vec.items())
+                if cand_norm > 0 and ref_norm > 0:
+                    penalty = math.exp(-((len(cand_toks) - len(ref_toks)) ** 2) / (2 * sigma**2))
+                    total += dot / (cand_norm * ref_norm) * penalty
+            per_n.append(total / len(refs))
+        scores.append(10.0 * sum(per_n) / max_n)
+    return scores
+
+
+def literal_bleu(items, max_n=4):
+    """Corpus BLEU from its definition: per-order clipped counts pooled over items, no smoothing."""
+    correct, guess = [0] * max_n, [0] * max_n
+    cand_len = ref_len = 0
+    for cand, refs in items:
+        cand_toks, ref_toks = tokenize(cand), [tokenize(r) for r in refs]
+        cand_len += len(cand_toks)
+        ref_len += len(min(ref_toks, key=lambda r: (abs(len(r) - len(cand_toks)), len(r))))
+        for n in range(1, max_n + 1):
+
+            def grams(toks):
+                return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+
+            ref_grams = [grams(r) for r in ref_toks]
+            for g, count in grams(cand_toks).items():
+                correct[n - 1] += min(count, max(r[g] for r in ref_grams))
+            guess[n - 1] += max(0, len(cand_toks) - n + 1)
+    bp = math.exp(1.0 - ref_len / cand_len) if 0 < cand_len < ref_len else 1.0
+    precisions = [c / g if g else 0.0 for c, g in zip(correct, guess)]
+    return [
+        0.0 if 0.0 in precisions[:k] else bp * math.exp(sum(math.log(p) for p in precisions[:k]) / k)
+        for k in range(1, max_n + 1)
+    ]
+
+
+# Inflections that the Porter stemmer folds together, so that CIDEr differs from unstemmed counting.
+WORDS = ("a", "the", "on", "red", "cat", "cats", "Cat", "dog", "dogs,", "run", "runs", "running", "sit", "sits", "sitting.", "mat")
+texts = st.lists(st.sampled_from(WORDS), max_size=9).map(" ".join)
+caption_corpora = st.lists(st.tuples(texts, st.lists(texts, min_size=1, max_size=5)), min_size=2, max_size=12)
+
+
+# oracle_cider recomputes every document frequency per item and order, so examples are few.
+@settings(max_examples=60, deadline=None)
+@given(items=caption_corpora)
+def test_scores_equal_the_oracles(items):
+    eval_set = corpus(*items)
+    assert bleu(eval_set) == literal_bleu(items)
+    assert cider_per_item(eval_set) == pytest.approx(oracle_cider(items), abs=1e-9)
+    assert cider_per_item(eval_set, cider_d=True) == pytest.approx(oracle_cider_d(items), abs=1e-9)

@@ -119,6 +119,11 @@ class TestYamlRoundTrip:
         save_rules(rules, path)
         assert load_rules(path) == rules
 
+    def test_number_is_read_as_text_and_description_defaults(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("rules:\n  - {rule_id: 5, scope: either, pattern: 1.5}\n", encoding="utf-8")
+        assert load_rules(path) == [FilterRule(rule_id="5", scope="either", pattern="1.5", description="")]
+
     def test_missing_rules_key(self, tmp_path):
         path = tmp_path / "rules.yaml"
         path.write_text("nope: []\n", encoding="utf-8")

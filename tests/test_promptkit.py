@@ -83,6 +83,11 @@ class TestYamlRoundTrip:
         with pytest.raises(SchemaViolationError):
             load_prompt_config(path)
 
+    def test_number_is_read_as_text_and_label_defaults_to_file_stem(self, tmp_path):
+        path = tmp_path / "numbers.yaml"
+        path.write_text("bottom_rules: [1]\ntask_description: 5\nconditions: [2.5]\n", encoding="utf-8")
+        assert load_prompt_config(path) == PromptConfig.from_parts(("1",), "5", ("2.5",), label="numbers")
+
     def test_missing_part_rejected(self, tmp_path):
         path = tmp_path / "prompt.yaml"
         path.write_text("bottom_rules: [a]\nconditions: [b]\n", encoding="utf-8")
