@@ -117,14 +117,14 @@ def _stemmed_ngram_counts(text: str, max_n: int) -> tuple[Counter, int]:
     return _ngram_counts(tokens, max_n), len(tokens)
 
 
-def _tfidf(counts: Counter, length: int, idf: dict, log_corpus_size: float, max_n: int):
-    """One text's TF-IDF weights (one dict over all orders), per-order norms and token length."""
+def _tfidf(counts: Counter, idf: dict, log_corpus_size: float, max_n: int) -> tuple[dict, list[float]]:
+    """One text's TF-IDF weights (one dict over all orders) and their per-order norms."""
     vec = {}
     norm = [0.0] * max_n
     for ngram, term_freq in counts.items():
         weight = vec[ngram] = term_freq * idf.get(ngram, log_corpus_size)
         norm[len(ngram) - 1] += weight**2
-    return vec, [math.sqrt(x) for x in norm], length
+    return vec, [math.sqrt(x) for x in norm]
 
 
 def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: int = NGRAM_ORDERS) -> list[float]:
@@ -144,11 +144,11 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: in
     idf = {ngram: log_corpus_size - math.log(max(1, df)) for ngram, df in doc_freq.items()}
 
     scores: list[float] = []
-    for cand, refs in zip(cand_counts, ref_counts):
-        cand_vec, cand_norm, cand_len = _tfidf(*cand, idf, log_corpus_size, max_n)
+    for (cand, cand_len), refs in zip(cand_counts, ref_counts):
+        cand_vec, cand_norm = _tfidf(cand, idf, log_corpus_size, max_n)
         per_n_total = [0.0] * max_n
-        for ref in refs:
-            ref_vec, ref_norm, ref_len = _tfidf(*ref, idf, log_corpus_size, max_n)
+        for ref, ref_len in refs:
+            ref_vec, ref_norm = _tfidf(ref, idf, log_corpus_size, max_n)
             # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped.
             dot = [0.0] * max_n
             if cider_d:
