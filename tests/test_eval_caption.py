@@ -309,7 +309,7 @@ def literal_bleu(items, max_n=4):
     ]
 
 
-# Inflections that the Porter stemmer folds together, so that CIDEr differs from unstemmed counting.
+# Inflections that the Porter stemmer folds together (so stemming matters), and case and punctuation the tokenizer drops.
 WORDS = ("a", "the", "on", "red", "cat", "cats", "Cat", "dog", "dogs,", "run", "runs", "running", "sit", "sits", "sitting.", "mat")
 texts = st.lists(st.sampled_from(WORDS), max_size=9).map(" ".join)
 caption_corpora = st.lists(st.tuples(texts, st.lists(texts, min_size=1, max_size=5)), min_size=2, max_size=12)
