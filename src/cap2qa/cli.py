@@ -169,6 +169,8 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
     started = clock.now()
     if args.categories:
         lexicon = build_lexicon(args.categories, args.synonyms)
+    elif args.synonyms:
+        raise SchemaViolationError("--synonyms requires --categories")
     else:
         lexicon = default_lexicon()
 
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     chair.add_argument("--answers", required=True, help="JSONL with image_id and answer fields")
     chair.add_argument("--instances", required=True, help="COCO instance annotation JSON")
     chair.add_argument("--categories", default=None, help="category list, one per line (default: built-in)")
-    chair.add_argument("--synonyms", default=None, help="surface-form synonyms file")
+    chair.add_argument("--synonyms", default=None, help="surface-form synonyms file (needs --categories)")
     chair.add_argument("--report", default=None)
     chair.set_defaults(func=_cmd_eval_chair)
 

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import ObjectAnnotation, read_text
-from .errors import (
-    DuplicateSurfaceFormError,
-    MissingAnnotationError,
-    UnknownCategoryError,
-)
+from .errors import DuplicateSurfaceFormError, MissingAnnotationError, UnknownCategoryError
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -33,14 +29,27 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def _plural_variants(word: str) -> tuple[str, ...]:
-    # Try the raw token, then naive singular forms.
-    variants = [word]
-    if word.endswith("s") and len(word) > 1:
-        variants.append(word[:-1])
-    if word.endswith("es") and len(word) > 2:
-        variants.append(word[:-2])
-    return tuple(variants)
+def _surface_map(categories: list[tuple[str, str]], forms: list[tuple[str, str, str]]) -> dict[tuple, str]:
+    """Check the vocabulary and map each form's tokens to its category; an item's ``where`` prefixes its errors."""
+    seen = set()
+    for where, category in categories:
+        if category != category.lower() or not category.strip():
+            raise ValueError(f"{where}category names must be lowercase and non-empty: {category!r}")
+        if category in seen:
+            raise ValueError(f"{where}duplicate category: {category!r}")
+        seen.add(category)
+    surface_map: dict[tuple, str] = {}
+    for where, category, form in [(where, c, c) for where, c in categories] + forms:
+        if category not in seen:
+            raise UnknownCategoryError(f"{where}synonyms reference unknown category: {category!r}")
+        tokens = tuple(_tokenize(form))
+        if not tokens:
+            raise ValueError(f"{where}empty surface form for category {category!r}")
+        owner = surface_map.setdefault(tokens, category)
+        if owner != category:
+            shown = " ".join(tokens)
+            raise DuplicateSurfaceFormError(f"{where}surface form {shown!r} maps to both {owner!r} and {category!r}")
+    return surface_map
 
 
 @dataclass(frozen=True)
@@ -55,36 +64,27 @@ class Lexicon:
     synonyms: dict[str, frozenset] = field(default_factory=dict)
     surface_to_category: dict[tuple, str] = field(init=False)
     max_window: int = field(init=False)
+    # Surface forms with naive plurals folded in (raw last token, then +"s", then +"es"),
+    # and for each first token the widths of its folded forms, widest first.
+    folded: dict[tuple, str] = field(init=False, repr=False, compare=False)
+    widths: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for category in self.categories:
-            if category != category.lower() or not category.strip():
-                raise ValueError(f"category names must be lowercase and non-empty: {category!r}")
-            if category in seen:
-                raise ValueError(f"duplicate category: {category!r}")
-            seen.add(category)
-        for category in self.synonyms:
-            if category not in seen:
-                raise UnknownCategoryError(f"synonyms reference unknown category: {category!r}")
-
-        surface_map: dict[tuple, str] = {}
-        window = 1
-        for category in self.categories:
-            forms = {category} | set(self.synonyms.get(category, ()))
-            for form in forms:
-                tokens = tuple(_tokenize(form))
-                if not tokens:
-                    raise ValueError(f"empty surface form for category {category!r}")
-                if tokens in surface_map and surface_map[tokens] != category:
-                    raise DuplicateSurfaceFormError(
-                        f"surface form {' '.join(tokens)!r} maps to both "
-                        f"{surface_map[tokens]!r} and {category!r}"
-                    )
-                surface_map[tokens] = category
-                window = max(window, len(tokens))
+        surface_map = _surface_map(
+            [("", category) for category in self.categories],
+            [("", category, form) for category, forms in self.synonyms.items() for form in forms],
+        )
+        folded: dict[tuple, str] = {}
+        for suffix in ("", "s", "es"):
+            for tokens, category in surface_map.items():
+                folded.setdefault(tokens[:-1] + (tokens[-1] + suffix,), category)
+        widths: dict[str, set] = {}
+        for key in folded:
+            widths.setdefault(key[0], set()).add(len(key))
         object.__setattr__(self, "surface_to_category", surface_map)
-        object.__setattr__(self, "max_window", window)
+        object.__setattr__(self, "max_window", max(map(len, surface_map), default=1))
+        object.__setattr__(self, "folded", folded)
+        object.__setattr__(self, "widths", {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()})
 
     def category_of(self, surface: str) -> str | None:
         return self.surface_to_category.get(tuple(_tokenize(surface)))
@@ -93,49 +93,48 @@ class Lexicon:
 def extract_objects(text: str, lexicon: Lexicon) -> frozenset:
     """Categories mentioned in free text.
 
-    Slides a window over the token stream trying the widest surface form
-    first; a match consumes its tokens. The last token of each window also
-    matches through naive plural stripping.
+    At each token, tries the widest surface form starting there first; a
+    match consumes its tokens. The last token of a form also matches with
+    "s" or "es" appended (naive plurals).
     """
     tokens = _tokenize(text)
+    folded, widths = lexicon.folded, lexicon.widths
     found = set()
     i = 0
     while i < len(tokens):
-        matched_width = 0
-        for width in range(min(lexicon.max_window, len(tokens) - i), 0, -1):
-            window = tokens[i : i + width]
-            hit = None
-            for variant in _plural_variants(window[-1]):
-                candidate = tuple(window[:-1]) + (variant,)
-                if candidate in lexicon.surface_to_category:
-                    hit = lexicon.surface_to_category[candidate]
-                    break
-            if hit is not None:
+        step = 1
+        for width in widths.get(tokens[i], ()):
+            if i + width <= len(tokens) and (hit := folded.get(tuple(tokens[i : i + width]))) is not None:
                 found.add(hit)
-                matched_width = width
+                step = width
                 break
-        i += matched_width if matched_width else 1
+        i += step
     return frozenset(found)
 
 
-def _parse_lexicon(categories_text: str, synonyms_text: str = "") -> Lexicon:
+def _parse_lexicon(categories_text: str, synonyms_text: str, categories_name: str, synonyms_name: str) -> Lexicon:
     """Build a lexicon from the text of a category file and of a synonym file.
 
     Lines are lowercased; blank lines and ``#`` comments are skipped. A
     synonym line is comma-separated: the category, then extra surface forms;
-    a line with no extra form is ignored.
+    a line with no extra form is ignored. An error starts with the
+    ``name:line:`` of the offending line.
     """
 
-    def entries(text: str) -> list[str]:
-        stripped = (raw.strip() for raw in text.splitlines())
-        return [line.lower() for line in stripped if line and not line.startswith("#")]
+    def entries(text: str, name: str) -> list[tuple[str, str]]:
+        lines = ((f"{name}:{line_no}: ", raw.strip().lower()) for line_no, raw in enumerate(text.splitlines(), start=1))
+        return [(where, line) for where, line in lines if line and not line.startswith("#")]
 
-    synonyms: dict[str, frozenset] = {}
-    for line in entries(synonyms_text):
+    categories = entries(categories_text, categories_name)
+    forms = []
+    for where, line in entries(synonyms_text, synonyms_name):
         parts = [p.strip() for p in line.split(",") if p.strip()]
-        if len(parts) >= 2:
-            synonyms[parts[0]] = synonyms.get(parts[0], frozenset()) | frozenset(parts[1:])
-    return Lexicon(categories=tuple(entries(categories_text)), synonyms=synonyms)
+        forms += [(where, parts[0], form) for form in parts[1:]]
+    _surface_map(categories, forms)  # Lexicon checks again, but cannot name the line
+    synonyms: dict[str, frozenset] = {}
+    for _, category, form in forms:
+        synonyms[category] = synonyms.get(category, frozenset()) | {form}
+    return Lexicon(categories=tuple(category for _, category in categories), synonyms=synonyms)
 
 
 def build_lexicon(categories_path: str, synonyms_path: str | None = None) -> Lexicon:
@@ -146,15 +145,14 @@ def build_lexicon(categories_path: str, synonyms_path: str | None = None) -> Lex
     surface forms.
     """
     synonyms = read_text(synonyms_path) if synonyms_path is not None else ""
-    return _parse_lexicon(read_text(categories_path), synonyms)
+    return _parse_lexicon(read_text(categories_path), synonyms, str(categories_path), str(synonyms_path))
 
 
 def default_lexicon() -> Lexicon:
     data = resources.files("cap2qa.data")
-    return _parse_lexicon(
-        (data / "coco_categories.txt").read_text(encoding="utf-8"),
-        (data / "coco_synonyms.txt").read_text(encoding="utf-8"),
-    )
+    categories, synonyms = data / "coco_categories.txt", data / "coco_synonyms.txt"
+    texts = [path.read_text(encoding="utf-8") for path in (categories, synonyms)]
+    return _parse_lexicon(*texts, str(categories), str(synonyms))
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,37 @@ class TestInputErrors:
         code, lines = run_main(caplog, *argv, *(arg for pair in lexicon.items() for arg in pair))
         assert (code, lines) == (1, [f"no such file: {missing}"])
 
+    def test_synonyms_without_categories_is_exit_1(self, tmp_path, caplog):
+        instances = write_instance_file(tmp_path / "inst.json", categories={1: "cat"}, annotations=[(10, 1)])
+        answers = write_jsonl(tmp_path / "a.jsonl", [{"image_id": 10, "answer": "a moggy"}])
+        synonyms = tmp_path / "syns.txt"
+        synonyms.write_text("cat, moggy\n", encoding="utf-8")
+        argv = ["eval-chair", "--answers", answers, "--instances", instances, "--synonyms", synonyms]
+        code, lines = run_main(caplog, *argv)
+        assert (code, lines) == (1, ["--synonyms requires --categories"])
+
+    @pytest.mark.parametrize(
+        "categories, synonyms, where, message",
+        [
+            ("cat\ndog\ncat\n", "", "cats.txt:3", "duplicate category: 'cat'"),
+            ("cat\n---\n", "", "cats.txt:2", "empty surface form for category '---'"),
+            ("cat\n", "# extras\ncat, kitty\ndog, puppy\n", "syns.txt:3", "synonyms reference unknown category: 'dog'"),
+            ("cat\ndog\n", "cat, pet\n\ndog, pet\n", "syns.txt:3", "surface form 'pet' maps to both 'cat' and 'dog'"),
+            ("table\ndining table\n", "dining table, table\n", "syns.txt:1", "surface form 'table' maps to both 'table' and 'dining table'"),
+            ("cat\n", "cat, kitty, ...\n", "syns.txt:1", "empty surface form for category 'cat'"),
+        ],
+        ids=["duplicate-category", "empty-category", "unknown-category", "shared-synonym", "synonym-is-category", "empty-synonym"],
+    )
+    def test_bad_lexicon_line_is_exit_1_naming_it(self, tmp_path, caplog, categories, synonyms, where, message):
+        instances = write_instance_file(tmp_path / "inst.json", categories={1: "cat"}, annotations=[(10, 1)])
+        answers = write_jsonl(tmp_path / "a.jsonl", [{"image_id": 10, "answer": "a cat"}])
+        (tmp_path / "cats.txt").write_text(categories, encoding="utf-8")
+        (tmp_path / "syns.txt").write_text(synonyms, encoding="utf-8")
+        argv = ["eval-chair", "--answers", answers, "--instances", instances]
+        lexicon = ["--categories", tmp_path / "cats.txt", "--synonyms", tmp_path / "syns.txt"]
+        code, lines = run_main(caplog, *argv, *lexicon)
+        assert (code, lines) == (1, [f"{tmp_path / where}: {message}"])
+
     def test_repeated_gt_question_id_is_exit_1(self, tmp_path, caplog):
         gt = write_jsonl(
             tmp_path / "gt.jsonl",

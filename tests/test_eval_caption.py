@@ -119,21 +119,27 @@ class TestBleu:
 def oracle_cider(items, max_n=4):
     """Independent TF-IDF reimplementation used as a test oracle."""
 
+    stemmed = {text: [stem(t) for t in tokenize(text)] for cand, refs in items for text in (cand, *refs)}
+
     def grams(text, n):
-        toks = [stem(t) for t in tokenize(text)]
+        toks = stemmed[text]
         return [tuple(toks[i : i + n]) for i in range(len(toks) - n + 1)]
 
     n_docs = len(items)
+    doc_freqs = {}
+    for n in range(1, max_n + 1):
+        doc_freqs[n] = Counter()
+        for _, refs in items:
+            seen = set()
+            for ref in refs:
+                seen.update(grams(ref, n))
+            doc_freqs[n].update(seen)
+
     scores = []
     for cand, refs in items:
         per_n = []
         for n in range(1, max_n + 1):
-            doc_freq = Counter()
-            for _, other_refs in items:
-                seen = set()
-                for ref in other_refs:
-                    seen.update(grams(ref, n))
-                doc_freq.update(seen)
+            doc_freq = doc_freqs[n]
 
             def weight_vector(text):
                 counts = Counter(grams(text, n))
@@ -315,8 +321,7 @@ texts = st.lists(st.sampled_from(WORDS), max_size=9).map(" ".join)
 caption_corpora = st.lists(st.tuples(texts, st.lists(texts, min_size=1, max_size=5)), min_size=2, max_size=12)
 
 
-# oracle_cider recomputes every document frequency per item and order, so examples are few.
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(items=caption_corpora)
 def test_scores_equal_the_oracles(items):
     eval_set = corpus(*items)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,27 @@ class TestExtractObjects:
 
     def test_duplicates_collapse(self, lexicon):
         assert extract_objects("cat cat cat", lexicon) == {"cat"}
+
+    def test_plural_rank_raw_then_s_then_es(self):
+        lex = Lexicon(categories=("glass", "glasse", "bus", "bu"))
+        # "glasses" is "glasse" + "s" and "glass" + "es": stripping "s" comes first
+        assert extract_objects("Glasses.", lex) == {"glasse"}
+        # "bus" is itself a form, so it never falls back to "bu" + "s"
+        assert extract_objects("A bus.", lex) == {"bus"}
+        assert extract_objects("Two buses.", lex) == {"bus"}
+
+    def test_plural_only_on_the_last_token(self):
+        lex = Lexicon(categories=("wine glass",))
+        assert extract_objects("wine glasses", lex) == {"wine glass"}
+        assert extract_objects("wines glass", lex) == frozenset()
+
+    def test_irregular_plural_needs_a_synonym(self):
+        # a lemmatizer would fold "knives" into "knife"; the naive rule only strips "s"/"es"
+        assert extract_objects("Two knives and three geese.", default_lexicon()) == {"bird"}
+
+    def test_regex_tokens_split_hyphens_and_apostrophes(self):
+        lex = Lexicon(categories=("hot dog", "cat", "bowl"))
+        assert extract_objects("A hot-dog stand; the cat's bowl.", lex) == {"hot dog", "cat", "bowl"}
 
 
 class TestDefaultLexicon:
@@ -243,3 +265,78 @@ def test_chair_brute_force_property(fixture):
     assert result.recall_without_hallucination == (clean_tp / positives if positives else 0.0)
     # the strict variant can never beat plain recall
     assert result.recall_without_hallucination <= result.recall + 1e-12
+
+
+def window_scan(text, surface_to_category, max_window):
+    """The window-and-variants scan that ``extract_objects`` replaced, kept literally as its oracle."""
+
+    def plural_variants(word):
+        variants = [word]
+        if word.endswith("s") and len(word) > 1:
+            variants.append(word[:-1])
+        if word.endswith("es") and len(word) > 2:
+            variants.append(word[:-2])
+        return tuple(variants)
+
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    found = set()
+    i = 0
+    while i < len(tokens):
+        matched_width = 0
+        for width in range(min(max_window, len(tokens) - i), 0, -1):
+            window = tokens[i : i + width]
+            hit = None
+            for variant in plural_variants(window[-1]):
+                candidate = tuple(window[:-1]) + (variant,)
+                if candidate in surface_to_category:
+                    hit = surface_to_category[candidate]
+                    break
+            if hit is not None:
+                found.add(hit)
+                matched_width = width
+                break
+        i += matched_width if matched_width else 1
+    return frozenset(found)
+
+
+# Words whose "s"/"es" relatives are words too, and forms that share a first token.
+WORDS = ("bus", "bu", "buse", "glass", "glasse", "glasses", "wine", "hot", "dog", "es", "s", "e")
+FORMS = ("bus", "bu", "buse", "glass", "glasse", "glasses", "wine glass", "wine glasses", "hot", "hot dog", "hot dog bun", "dog")
+
+
+@st.composite
+def lexicon_and_text(draw):
+    forms = draw(
+        st.lists(
+            st.sampled_from(FORMS) | st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    owners = draw(st.lists(st.integers(0, 3), min_size=len(forms), max_size=len(forms)))
+    groups: dict = {}
+    for form, owner in zip(forms, owners):
+        groups.setdefault(owner, []).append(form)
+    categories = tuple(group[0] for group in groups.values())
+    synonyms = {group[0]: frozenset(group[1:]) for group in groups.values() if len(group) > 1}
+    surface_to_category = {tuple(form.split()): group[0] for group in groups.values() for form in group}
+
+    # Each piece of text is a surface form or a word, with a suffix on its last
+    # token, in lower, upper or title case, followed by a separator.
+    piece = st.tuples(
+        st.sampled_from(forms) | st.sampled_from(WORDS + ("a", "on", "the")),
+        st.sampled_from(("", "s", "es")),
+        st.sampled_from((str.lower, str.upper, str.title)),
+        st.sampled_from((" ", ", ", ". ", "!", "-", " (")),
+    )
+    text = "".join(case(words + suffix) + separator for words, suffix, case, separator in draw(st.lists(piece, max_size=8)))
+    return Lexicon(categories=categories, synonyms=synonyms), surface_to_category, text
+
+
+@settings(max_examples=500, deadline=None)
+@given(lexicon_and_text())
+def test_extract_objects_equals_the_window_scan(case):
+    lex, surface_to_category, text = case
+    max_window = max(map(len, surface_to_category))
+    assert extract_objects(text, lex) == window_scan(text, surface_to_category, max_window)
