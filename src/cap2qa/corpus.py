@@ -291,8 +291,12 @@ def _record_to_dict(record: InstructionRecord) -> dict:
     }
 
 
+# One encoder for every record: json.dumps with a keyword argument builds a new one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def record_to_line(record: InstructionRecord) -> str:
-    return json.dumps(_record_to_dict(record), ensure_ascii=False)
+    return _ENCODER.encode(_record_to_dict(record))
 
 
 def _record_from_dict(obj: dict, where: str) -> InstructionRecord:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import yaml
 
@@ -23,12 +22,9 @@ from .errors import SchemaViolationError
 if TYPE_CHECKING:
     from .generator import QAPair
 
-SCOPES = ("question", "answer", "either")
-
-
-@lru_cache(maxsize=256)
-def _compile(pattern: str) -> re.Pattern:
-    return re.compile(pattern, re.IGNORECASE)
+# For each scope, the fields it scans as indices into (question, answer).
+_SCANNED = {"question": (0,), "answer": (1,), "either": (0, 1)}
+SCOPES = tuple(_SCANNED)
 
 
 @dataclass(frozen=True)
@@ -37,22 +33,23 @@ class FilterRule:
     scope: str
     pattern: str
     description: str = ""
+    # The compiled pattern's bound ``search`` and the fields it scans.
+    search: Callable[[str], re.Match | None] = field(init=False, repr=False, compare=False)
+    scanned: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scope not in SCOPES:
             raise ValueError(f"rule {self.rule_id!r}: scope must be one of {SCOPES}")
         try:
-            _compile(self.pattern)
+            regex = re.compile(self.pattern, re.IGNORECASE)
         except re.error as exc:
             raise ValueError(f"rule {self.rule_id!r}: bad pattern ({exc})") from exc
+        object.__setattr__(self, "search", regex.search)
+        object.__setattr__(self, "scanned", _SCANNED[self.scope])
 
     def matches(self, question: str, answer: str) -> bool:
-        regex = _compile(self.pattern)
-        if self.scope in ("question", "either") and regex.search(question):
-            return True
-        if self.scope in ("answer", "either") and regex.search(answer):
-            return True
-        return False
+        texts = (question, answer)
+        return any(self.search(texts[i]) for i in self.scanned)
 
 
 @dataclass
@@ -118,7 +115,8 @@ def filter_artifacts(pairs: Iterable["QAPair"], rules: Sequence[FilterRule]) -> 
     count = 0
     for pair in pairs:
         count += 1
-        hit = next((r.rule_id for r in rules if r.matches(pair.question, pair.answer)), None)
+        texts = (pair.question, pair.answer)
+        hit = next((r.rule_id for r in rules for i in r.scanned if r.search(texts[i])), None)
         if hit is None:
             kept.append(pair)
         else:

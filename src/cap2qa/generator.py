@@ -6,17 +6,20 @@ bounded number of attempts until at least one pair survives. Captions whose
 attempts all come back empty are reported as exhausted rather than failing
 the run.
 
-The corpus driver fans captions out to a worker pool but writes output JSONL
-strictly in caption input order through a bounded reorder window, and can
-resume an interrupted run by skipping captions already present in the output.
+The corpus driver fans captions out to a worker pool (or, with one worker,
+runs them in the calling thread) but writes output JSONL strictly in caption
+input order through a bounded reorder window, and can resume an interrupted
+run by skipping captions already present in the output.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,7 +84,10 @@ class RunSummary:
     n_exhausted: int
 
 
-_MARKER = re.compile(r"(?i)(?:\d+\s*[.)]\s*)?\b(question|answer)\s*:\s*")
+# A match starts at a digit or at q/a (only qQaA match (?i)[qa]); the
+# lookahead lets the regex engine skip every other position without trying
+# the optional numbering group there.
+_MARKER = re.compile(r"(?i)(?=[\dqa])(?:\d+\s*[.)]\s*)?\b(question|answer)\s*:\s*")
 
 
 def parse_qas(raw: str) -> list[QAPair]:
@@ -170,6 +176,40 @@ def generate_for_caption(
     return GenerationOutcome(records=[], attempts_used=attempts_used, raw_responses=raw_responses)
 
 
+def _run_inline(fn, *args, **kwargs) -> Future:
+    """Call ``fn`` now and return a finished future holding its result or exception."""
+    future: Future = Future()
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:
+        future.set_exception(exc)
+    else:
+        future.set_result(result)
+    return future
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line, the trace of a run killed mid-write, off ``path``."""
+    try:
+        fh = open(path, "rb+")
+    except OSError as exc:
+        raise IoFailureError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        size = keep = fh.seek(0, os.SEEK_END)
+        while keep > 0:
+            start = max(0, keep - (1 << 16))
+            fh.seek(start)
+            cut = fh.read(keep - start).rfind(b"\n")
+            if cut >= 0:
+                keep = start + cut + 1
+                break
+            keep = start
+        if keep == size:
+            return
+        fh.truncate(keep)
+    log.warning("resume: dropped an unterminated last line of %s (%d bytes)", path, size - keep)
+
+
 def generate_corpus(
     captions: list[CaptionRecord],
     config: GeneratorConfig,
@@ -182,9 +222,11 @@ def generate_corpus(
     """Generate records for a caption list into a JSONL file.
 
     Output order equals caption input order regardless of worker completion
-    order (bounded reorder window of 4x workers). With ``resume`` (default),
-    captions that already contributed records to the output file are skipped
-    and new records are appended. A backend failure drains the in-flight
+    order (bounded reorder window of 4x workers). One worker runs each
+    caption in the calling thread; more run them on a thread pool. With
+    ``resume`` (default), captions that already contributed records to the
+    output file are skipped and new records are appended; an unterminated
+    last line there is dropped first. A backend failure drains the in-flight
     window, keeps everything completed so far, and then propagates, so the
     partial output stays resumable.
     """
@@ -193,6 +235,7 @@ def generate_corpus(
 
     existing: list[InstructionRecord] = []
     if resume and out_path.exists():
+        _drop_torn_tail(out_path)
         existing = read_instructions(out_path)
     covered_ids = {cid for record in existing for cid in record.source_caption_ids}
     todo = [c for c in captions if c.caption_id not in covered_ids]
@@ -212,9 +255,13 @@ def generate_corpus(
         raise IoFailureError(f"cannot open {out_path}: {exc}") from exc
 
     with out:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        with ExitStack() as stack:
+            if config.workers == 1:
+                submit = _run_inline
+            else:
+                submit = stack.enter_context(ThreadPoolExecutor(max_workers=config.workers)).submit
 
-            def flush_one(caption: CaptionRecord, future) -> None:
+            def flush_one(caption: CaptionRecord, future: Future) -> None:
                 nonlocal n_records, n_exhausted
                 outcome = future.result()
                 if not outcome.records:
@@ -230,7 +277,7 @@ def generate_corpus(
             for caption in todo:
                 if failure is not None:
                     break
-                window.append((caption, pool.submit(generate_for_caption, caption, config, client=client, clock=clock)))
+                window.append((caption, submit(generate_for_caption, caption, config, client=client, clock=clock)))
                 if len(window) >= window_size:
                     head_caption, head_future = window.popleft()
                     try:

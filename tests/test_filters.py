@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,44 @@ def test_partition_property(raw_pairs):
     again = filter_artifacts(report.kept, rules)
     assert again.kept == report.kept
     assert again.rejected == []
+
+
+def oracle_filter(pairs, rules):
+    """The rule-by-rule scan as first written: compile, then search each scoped field."""
+    kept, rejected = [], []
+    for p in pairs:
+        hit = None
+        for rule in rules:
+            regex = re.compile(rule.pattern, re.IGNORECASE)
+            if (rule.scope in ("question", "either") and regex.search(p.question)) or (
+                rule.scope in ("answer", "either") and regex.search(p.answer)
+            ):
+                hit = rule.rule_id
+                break
+        if hit is None:
+            kept.append(p)
+        else:
+            rejected.append((p, hit))
+    return kept, rejected
+
+
+# Word-bounded, anchored, blank-field and case-sensitive (?-i:) patterns.
+PATTERNS = [r"\bcat\b", "dog", r"\Acat", r"dog\Z", r"^red$", r"\A\s*\Z", r"(?-i:Cat)", r"(?-i:\ADog)", "x|y"]
+rule_specs = st.tuples(st.sampled_from(["question", "answer", "either"]), st.sampled_from(PATTERNS))
+rule_lists = st.lists(rule_specs, min_size=1, max_size=5).map(
+    lambda specs: [FilterRule(rule_id=f"r{i}", scope=scope, pattern=pattern) for i, (scope, pattern) in enumerate(specs)]
+)
+field_text = st.lists(st.sampled_from(["cat", "Cat", "CAT", "dog", "Dog", "red", "x", "y", " ", "\n", "s"]), max_size=5).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_lists, st.lists(st.builds(QAPair, field_text, field_text), max_size=8))
+def test_filter_equals_the_rule_by_rule_scan(rules, pairs):
+    report = filter_artifacts(pairs, rules)
+    assert (report.kept, report.rejected) == oracle_filter(pairs, rules)
+    assert report.input_count == len(pairs)
+    for p in pairs:
+        assert [r.matches(p.question, p.answer) for r in rules] == [bool(oracle_filter([p], [r])[1]) for r in rules]
 
 
 class TestYamlRoundTrip:

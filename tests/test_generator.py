@@ -1,12 +1,16 @@
+import logging
+import re
+import threading
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cap2qa import generator
 from cap2qa.clocks import FixedClock
 from cap2qa.corpus import CaptionRecord, read_instructions
-from cap2qa.errors import ScriptExhaustedError
+from cap2qa.errors import MalformedLineError, ScriptExhaustedError
 from cap2qa.generator import (
     GeneratorConfig,
     QAPair,
@@ -88,6 +92,45 @@ def test_parse_round_trip_property(qa_texts):
     assert [(p.question, p.answer) for p in parsed] == [
         (q.strip(), a.strip()) for q, a in qa_texts
     ]
+
+
+# The parser as first written, before the marker regex gained its lookahead.
+SEED_MARKER = re.compile(r"(?i)(?:\d+\s*[.)]\s*)?\b(question|answer)\s*:\s*")
+
+
+def seed_parse_qas(raw):
+    matches = list(SEED_MARKER.finditer(raw))
+    pairs = []
+    pending_question = None
+    for i, match in enumerate(matches):
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(raw)
+        content = raw[match.end() : end].strip().rstrip(",").strip()
+        if match.group(1).lower() == "question":
+            pending_question = content
+        elif pending_question is not None:
+            pairs.append(QAPair(question=pending_question, answer=content))
+            pending_question = None
+    return pairs
+
+
+# Markers: numbering with ASCII and Arabic-Indic digits, marker words in
+# several cases (one with a long s), separators with no-break spaces and
+# newlines; between them, filler that may itself hold marker pieces.
+FRAGMENTS = ["Question", "ANSWER", "answer", "İ", "ſ", "Q", "a", "x", ":", ",", "?", ".", ")", "3", "٣", "\n", "\u00a0", " "]
+filler = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=2)), max_size=6).map("".join)
+marker = st.tuples(
+    st.sampled_from(["", "1.", "2)", "12 .", "٣)", "٣.", "x."]),
+    st.sampled_from(["", " ", "\n", "\u00a0"]),
+    st.sampled_from(["Question", "question", "QUESTION", "Answer", "answer", "ANSWER", "queſtion"]),
+    st.sampled_from([":", " : ", "\u00a0:", ":\n", "", " "]),
+).map("".join)
+marker_texts = st.lists(st.one_of(marker, filler), max_size=10).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(marker_texts)
+def test_parse_qas_equals_the_seed_parser(raw):
+    assert parse_qas(raw) == seed_parse_qas(raw)
 
 
 class TestGenerateForCaption:
@@ -231,3 +274,79 @@ class TestGenerateCorpus:
             generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_one_worker_runs_in_the_calling_thread(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker must not start a thread pool")
+
+        threads = set()
+        real = generator.generate_for_caption
+
+        def record_thread(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(generator, "generate_for_caption", record_thread)
+        captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(6)]
+        cfg = config(workers=1)
+        by_hash = scripted_by_caption(captions, [f"Question: Q{i}?\nAnswer: A{i}." for i in range(6)], cfg)
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), by_hash))
+        summary = generate_corpus(captions, cfg, tmp_path / "out.jsonl", clock=FixedClock(NOW))
+        assert summary.n_records == 6
+        assert threads == {threading.get_ident()}
+
+    # The reorder window holds 4 captions per worker. At one worker the failure
+    # of caption 2 surfaces once caption 5 is submitted, so 6 and 7 never run;
+    # at four workers all 8 are in flight. Either way the window is drained.
+    @pytest.mark.parametrize("workers, written", [(1, [0, 1, 3, 4, 5]), (4, [0, 1, 3, 4, 5, 6, 7])])
+    def test_backend_failure_drains_the_window(self, tmp_path, workers, written):
+        captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(8)]
+        responses = [f"Question: Q{i}?\nAnswer: A{i}." for i in range(8)]
+        cfg = config(workers=workers, retry=1)
+        by_hash = scripted_by_caption(captions, responses, cfg)
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), by_hash))
+        full = tmp_path / "full.jsonl"
+        generate_corpus(captions, cfg, full, clock=FixedClock(NOW))
+
+        del by_hash[prompt_hash(render(cfg.prompt, captions[2]).rendered)]
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), by_hash))
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(ScriptExhaustedError):
+            generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert out.read_bytes() == b"".join(lines[i] for i in written)
+
+
+class TestTornTail:
+    """Resume after a run killed mid-write, which leaves an unterminated last line."""
+
+    def full_run(self, tmp_path, n):
+        captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(n)]
+        cfg = config()
+        by_hash = scripted_by_caption(captions, [f"Question: Q{i}?\nAnswer: A{i}." for i in range(n)], cfg)
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), by_hash))
+        full = tmp_path / "full.jsonl"
+        generate_corpus(captions, cfg, full, clock=FixedClock(NOW))
+        return captions, cfg, full.read_bytes()
+
+    @pytest.mark.parametrize("n", [3, 1])
+    def test_resume_drops_an_unterminated_last_line(self, tmp_path, caplog, n):
+        captions, cfg, full = self.full_run(tmp_path, n)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(full[:-40])
+        dropped = len(full.splitlines(keepends=True)[-1]) - 40
+        with caplog.at_level(logging.WARNING, logger="cap2qa.generator"):
+            summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
+        assert torn.read_bytes() == full
+        assert summary.n_records == 1
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"resume: dropped an unterminated last line of {torn} ({dropped} bytes)"]
+
+    def test_malformed_terminated_line_is_still_an_error(self, tmp_path):
+        captions, cfg, full = self.full_run(tmp_path, 3)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(full[:-40] + b"\n")
+        with pytest.raises(MalformedLineError, match=r"torn\.jsonl:3: Invalid control character"):
+            generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
+        assert torn.read_bytes() == full[:-40] + b"\n"
