@@ -15,6 +15,7 @@ one-line input error. Every field of those inputs is then read through
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -297,6 +298,16 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 def record_to_line(record: InstructionRecord) -> str:
     return _ENCODER.encode(_record_to_dict(record))
+
+
+# How every line that record_to_line writes starts; the id is whole once its comma follows.
+_IMAGE_ID_PREFIX = re.compile(rb'\{"image_id": (\d+),')
+
+
+def image_id_of_prefix(line: bytes) -> int | None:
+    """The image id a line cut short still shows, or None when the cut came before its end."""
+    match = _IMAGE_ID_PREFIX.match(line)
+    return int(match[1]) if match else None
 
 
 def _record_from_dict(obj: dict, where: str) -> InstructionRecord:

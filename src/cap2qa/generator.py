@@ -8,12 +8,16 @@ the run.
 
 The corpus driver fans captions out to a worker pool (or, with one worker,
 runs them in the calling thread) but writes output JSONL strictly in caption
-input order through a bounded reorder window, and can resume an interrupted
-run by skipping captions already present in the output.
+input order through a bounded reorder window: 4 captions in the calling
+thread, 64 per worker in a pool, so that a caption in retry backoff does not
+idle the other workers. A failed or interrupted pool run cancels the
+captions that have not started. The driver can resume an interrupted run by
+skipping captions already present in the output.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import re
@@ -28,6 +32,7 @@ from .corpus import (
     CaptionRecord,
     InstructionRecord,
     Provenance,
+    image_id_of_prefix,
     read_instructions,
     record_to_line,
 )
@@ -188,26 +193,76 @@ def _run_inline(fn, *args, **kwargs) -> Future:
     return future
 
 
+def _lines_backwards(fh, end: int):
+    """Yield the lines of binary file ``fh`` before byte ``end``, last first, without newlines."""
+    pos, head = end, []
+    while pos > 0:
+        start = max(0, pos - (1 << 16))
+        fh.seek(start)
+        first, *lines = fh.read(pos - start).split(b"\n")
+        pos = start
+        if lines:
+            lines[-1] += b"".join(reversed(head))
+            head = []
+            yield from reversed(lines)
+        head.append(first)
+    yield b"".join(reversed(head))
+
+
 def _drop_torn_tail(path: Path) -> None:
-    """Cut an unterminated last line, the trace of a run killed mid-write, off ``path``."""
+    """Cut an unterminated last line, the trace of a run killed mid-write, off ``path``.
+
+    Resume counts a caption as covered once any of its lines survives, so the
+    complete lines of the torn record's caption go too, and resume regenerates
+    that caption whole. The torn line can show its image id, which comes
+    first, but rarely its caption id, which follows the text: the last complete
+    caption is kept when the torn line names another image, and is otherwise
+    dropped, which at worst regenerates one finished caption.
+    """
     try:
         fh = open(path, "rb+")
     except OSError as exc:
         raise IoFailureError(f"cannot open {path}: {exc}") from exc
     with fh:
-        size = keep = fh.seek(0, os.SEEK_END)
-        while keep > 0:
-            start = max(0, keep - (1 << 16))
-            fh.seek(start)
-            cut = fh.read(keep - start).rfind(b"\n")
-            if cut >= 0:
-                keep = start + cut + 1
-                break
-            keep = start
-        if keep == size:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
             return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        lines = _lines_backwards(fh, size)
+        torn = next(lines)
+        keep = size - len(torn)
+        torn_image = image_id_of_prefix(torn)
+        caption_ids = None
+        n_lines = 0
+        for line in lines:
+            try:
+                record = json.loads(line)
+                ids, image_id = record["source_caption_ids"], record["image_id"]
+            except (ValueError, TypeError, KeyError):
+                break
+            if caption_ids is None:
+                if torn_image is not None and torn_image != image_id:
+                    break
+                caption_ids = ids
+            elif ids != caption_ids:
+                break
+            keep -= len(line) + 1
+            n_lines += 1
         fh.truncate(keep)
-    log.warning("resume: dropped an unterminated last line of %s (%d bytes)", path, size - keep)
+    whole_caption = f" and the {n_lines} line(s) of source_caption_ids {caption_ids} before it" if n_lines else ""
+    log.warning("resume: dropped an unterminated last line of %s (%d bytes)%s", path, len(torn), whole_caption)
+
+
+# With more than one worker, a caption sleeping in retry backoff holds the
+# head of the reorder window while the other workers serve the captions
+# behind it, until the window is full. The default RetryPolicy sleeps up to
+# 0.5 + 1 + 2 + 4 = 7.5 s in one backend call; 64 captions per worker keep the
+# other workers busy through that whenever a call takes more than about
+# 0.12 s, as calls to a hosted chat-completion API do, and still bound what
+# the window holds.
+_POOL_WINDOW_PER_WORKER = 64
 
 
 def generate_corpus(
@@ -222,13 +277,16 @@ def generate_corpus(
     """Generate records for a caption list into a JSONL file.
 
     Output order equals caption input order regardless of worker completion
-    order (bounded reorder window of 4x workers). One worker runs each
-    caption in the calling thread; more run them on a thread pool. With
-    ``resume`` (default), captions that already contributed records to the
-    output file are skipped and new records are appended; an unterminated
-    last line there is dropped first. A backend failure drains the in-flight
-    window, keeps everything completed so far, and then propagates, so the
-    partial output stays resumable.
+    order, through a bounded reorder window. One worker runs each caption in
+    the calling thread, with a window of 4 captions; more run them on a
+    thread pool, with a window of 64 captions per worker. With ``resume``
+    (default), captions that already contributed records to the output file
+    are skipped and new records are appended; an unterminated last line
+    there is dropped first, together with the lines of its caption before
+    it. A backend failure cancels the captions that have not started, writes
+    those that finished or were running, in order, and then propagates, so
+    the partial output stays resumable. Any other way out of a pool run,
+    Ctrl-C included, also cancels the captions that have not started.
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)
@@ -246,7 +304,6 @@ def generate_corpus(
     covered_images = {r.image_id for r in existing}
     n_records = 0
     n_exhausted = 0
-    window_size = max(1, 4 * config.workers)
     failure: Cap2qaError | None = None
 
     try:
@@ -257,13 +314,26 @@ def generate_corpus(
     with out:
         with ExitStack() as stack:
             if config.workers == 1:
-                submit = _run_inline
+                submit, window_size = _run_inline, 4
             else:
-                submit = stack.enter_context(ThreadPoolExecutor(max_workers=config.workers)).submit
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=config.workers))
+                # Runs before the pool's own exit: whatever ends the run, an
+                # exception or Ctrl-C included, queued captions never start.
+                stack.callback(pool.shutdown, cancel_futures=True)
+                submit, window_size = pool.submit, _POOL_WINDOW_PER_WORKER * config.workers
 
             def flush_one(caption: CaptionRecord, future: Future) -> None:
-                nonlocal n_records, n_exhausted
-                outcome = future.result()
+                nonlocal n_records, n_exhausted, failure
+                if future.cancelled():
+                    return
+                try:
+                    outcome = future.result()
+                except Cap2qaError as exc:
+                    if failure is None:
+                        failure = exc
+                        for _, queued in window:
+                            queued.cancel()
+                    return
                 if not outcome.records:
                     n_exhausted += 1
                     log.warning("caption %d exhausted after %d attempts", caption.caption_id, outcome.attempts_used)
@@ -279,18 +349,9 @@ def generate_corpus(
                     break
                 window.append((caption, submit(generate_for_caption, caption, config, client=client, clock=clock)))
                 if len(window) >= window_size:
-                    head_caption, head_future = window.popleft()
-                    try:
-                        flush_one(head_caption, head_future)
-                    except Cap2qaError as exc:
-                        failure = exc
+                    flush_one(*window.popleft())
             while window:
-                head_caption, head_future = window.popleft()
-                try:
-                    flush_one(head_caption, head_future)
-                except Cap2qaError as exc:
-                    if failure is None:
-                        failure = exc
+                flush_one(*window.popleft())
         out.flush()
 
     if failure is not None:

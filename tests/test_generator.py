@@ -1,6 +1,7 @@
 import logging
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import pytest
@@ -18,7 +19,7 @@ from cap2qa.generator import (
     generate_for_caption,
     parse_qas,
 )
-from cap2qa.llm_client import BackendSpec, MockScript, prompt_hash
+from cap2qa.llm_client import AssistantResponse, BackendSpec, MockScript, prompt_hash
 from cap2qa.promptkit import default_prompt_config, render
 
 NOW = datetime(2024, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -296,10 +297,10 @@ class TestGenerateCorpus:
         assert summary.n_records == 6
         assert threads == {threading.get_ident()}
 
-    # The reorder window holds 4 captions per worker. At one worker the failure
-    # of caption 2 surfaces once caption 5 is submitted, so 6 and 7 never run;
-    # at four workers all 8 are in flight. Either way the window is drained.
-    @pytest.mark.parametrize("workers, written", [(1, [0, 1, 3, 4, 5]), (4, [0, 1, 3, 4, 5, 6, 7])])
+    # In the calling thread the reorder window holds 4 captions, so the failure
+    # of caption 2 surfaces once caption 5 has run, and 6 and 7 never run. The
+    # pool case is TestPoolWindow.test_failure_cancels_the_queued_captions.
+    @pytest.mark.parametrize("workers, written", [(1, [0, 1, 3, 4, 5])])
     def test_backend_failure_drains_the_window(self, tmp_path, workers, written):
         captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(8)]
         responses = [f"Question: Q{i}?\nAnswer: A{i}." for i in range(8)]
@@ -316,6 +317,127 @@ class TestGenerateCorpus:
             generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
         lines = full.read_bytes().splitlines(keepends=True)
         assert out.read_bytes() == b"".join(lines[i] for i in written)
+
+
+# Every wait in a scheduling test is bounded, so a broken pool fails the test
+# instead of hanging it.
+TIMEOUT = 10
+# The pool's reorder window, in captions per worker (README, "Workers").
+WINDOW_PER_WORKER = 64
+
+
+class ScriptedClient:
+    """Answers caption ``i`` with pair ``Q{i}``/``A{i}`` after calling ``hook(i)``, and logs the calls."""
+
+    def __init__(self, cfg, captions, hook=lambda cid: None):
+        self.ids = {render(cfg.prompt, c).rendered: c.caption_id for c in captions}
+        self.hook = hook
+        self.calls = []
+
+    def complete(self, request):
+        cid = self.ids[request.prompt_text]
+        self.calls.append(cid)
+        self.hook(cid)
+        return AssistantResponse(text=f"Question: Q{cid}?\nAnswer: A{cid}.", backend_latency=0.0, from_cache=False)
+
+
+def watch_pool(monkeypatch, done_callbacks=None):
+    """Make the generator's pool log each submitted caption id and hang callbacks on chosen futures."""
+    submitted = []
+    done_callbacks = done_callbacks or {}
+
+    class WatchedPool(ThreadPoolExecutor):
+        def submit(self, fn, caption, *args, **kwargs):
+            submitted.append(caption.caption_id)
+            future = super().submit(fn, caption, *args, **kwargs)
+            if caption.caption_id in done_callbacks:
+                future.add_done_callback(done_callbacks[caption.caption_id])
+            return future
+
+    monkeypatch.setattr(generator, "ThreadPoolExecutor", WatchedPool)
+    return submitted
+
+
+class TestPoolWindow:
+    def lines(self, tmp_path, cfg, captions):
+        full = tmp_path / "full.jsonl"
+        generate_corpus(captions, cfg, full, clock=FixedClock(NOW), client=ScriptedClient(cfg, captions))
+        return full.read_bytes().splitlines(keepends=True)
+
+    # Two workers. Caption 1 fails once caption 2 has started; caption 2 runs
+    # until the captions behind it are cancelled. A done callback holds the
+    # worker that ran caption 1 until then too, so no worker is free to start
+    # a queued caption before the cancel. A backend failure still writes
+    # caption 2, which was running; any other exception, Ctrl-C included,
+    # propagates at once.
+    @pytest.mark.parametrize(
+        "error, written",
+        [
+            (ScriptExhaustedError("mock script has no response left"), [0, 2]),
+            (RuntimeError("a bug"), [0]),
+            (KeyboardInterrupt("ctrl-c"), [0]),
+        ],
+        ids=["backend-failure", "other-exception", "interrupt"],
+    )
+    def test_failure_cancels_the_queued_captions(self, tmp_path, monkeypatch, error, written):
+        captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(6)]
+        cfg = config(workers=2, retry=1)
+        lines = self.lines(tmp_path, cfg, captions)
+        two_started, queue_cancelled = threading.Event(), threading.Event()
+
+        def hook(cid):
+            if cid == 1:
+                two_started.wait(TIMEOUT)
+                raise error
+            if cid == 2:
+                two_started.set()
+                queue_cancelled.wait(TIMEOUT)
+
+        watch_pool(monkeypatch, {
+            1: lambda future: queue_cancelled.wait(TIMEOUT),
+            5: lambda future: future.cancelled() and queue_cancelled.set(),
+        })
+        client = ScriptedClient(cfg, captions, hook)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(type(error), match=str(error)):
+            generate_corpus(captions, cfg, out, clock=FixedClock(NOW), client=client)
+        assert queue_cancelled.is_set()
+        assert sorted(client.calls) == [0, 1, 2]
+        assert out.read_bytes() == b"".join(lines[i] for i in written)
+
+    # Caption 0 stands for a caption sleeping in retry backoff: it returns only
+    # once the other worker has served every other caption the window admits.
+    # A window of 4 captions per worker would idle the other worker after 7
+    # captions, so neither event would fire.
+    def test_a_caption_in_backoff_does_not_stall_the_pool(self, tmp_path, monkeypatch):
+        workers = 2
+        window = WINDOW_PER_WORKER * workers
+        captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(3 * window)]
+        cfg = config(workers=workers, retry=1)
+        lines = self.lines(tmp_path, cfg, captions)
+        past_old_window, window_served = threading.Event(), threading.Event()
+        at_release = []
+
+        def hook(cid):
+            if cid == 0:
+                at_release.extend([past_old_window.wait(TIMEOUT), window_served.wait(TIMEOUT), len(submitted)])
+                return
+            served = sum(1 for c in client.calls if c != 0)
+            if served > 4 * workers:
+                past_old_window.set()
+            if served == window - 1:
+                window_served.set()
+
+        submitted = watch_pool(monkeypatch)
+        client = ScriptedClient(cfg, captions, hook)
+        out = tmp_path / "out.jsonl"
+        summary = generate_corpus(captions, cfg, out, clock=FixedClock(NOW), client=client)
+        # Both events fired, and while caption 0 waited no caption beyond the
+        # window was submitted: memory stays bounded.
+        assert at_release == [True, True, window]
+        assert submitted == list(range(len(captions)))
+        assert summary.n_records == len(captions)
+        assert out.read_bytes() == b"".join(lines)
 
 
 class TestTornTail:
@@ -350,3 +472,31 @@ class TestTornTail:
         with pytest.raises(MalformedLineError, match=r"torn\.jsonl:3: Invalid control character"):
             generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full[:-40] + b"\n"
+
+
+    # A kill can tear a caption after some of its lines are written. Captions
+    # 0 and 2 get two records each, caption 1 one; captions 0 and 1 show the
+    # same image. Lines: 0 and 1 (caption 0), 2 (caption 1), 3 and 4
+    # (caption 2). Parameters: torn line, bytes of it kept, records written on
+    # resume. Cut 30 bytes in, the torn line shows its image id; cut 5 bytes
+    # in, it does not, and the caption before it goes too, as it does when
+    # that caption shows the same image.
+    @pytest.mark.parametrize("line, kept, written", [(4, 30, 2), (3, 30, 2), (3, 5, 3), (2, 30, 5), (1, 30, 5)])
+    def test_resume_regenerates_the_torn_caption_whole(self, tmp_path, line, kept, written):
+        captions = [caption(0, 10, "first"), caption(1, 10, "second"), caption(2, 11, "third")]
+        responses = [
+            "Question: Q0a?\nAnswer: A0a.\nQuestion: Q0b?\nAnswer: A0b.",
+            "Question: Q1?\nAnswer: A1.",
+            "Question: Q2a?\nAnswer: A2a.\nQuestion: Q2b?\nAnswer: A2b.",
+        ]
+        cfg = config()
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), scripted_by_caption(captions, responses, cfg)))
+        full = tmp_path / "full.jsonl"
+        generate_corpus(captions, cfg, full, clock=FixedClock(NOW))
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 5
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(b"".join(lines[:line]) + lines[line][:kept])
+        summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
+        assert torn.read_bytes() == full.read_bytes()
+        assert summary.n_records == written
