@@ -141,9 +141,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         settings["rules"] = load_rules(settings["rules"])
     if "prompt" in settings:
         settings["prompt"] = load_prompt_config(settings["prompt"])
-    config = GeneratorConfig(backend=backend, keep_raw=args.keep_raw, **settings)
+    config = GeneratorConfig(backend=backend, **settings)
 
-    clock: Clock = FixedClock(datetime.fromisoformat(args.fixed_clock)) if args.fixed_clock else SystemClock()
+    try:
+        clock: Clock = FixedClock(datetime.fromisoformat(args.fixed_clock)) if args.fixed_clock else SystemClock()
+    except ValueError as exc:
+        raise SchemaViolationError(f"--fixed-clock: {exc}") from exc
     started = clock.now()
 
     captions = load_coco_captions(args.captions)
@@ -231,7 +234,7 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
     clock = SystemClock()
     started = clock.now()
     references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
-    items: list[VqaItem] = []
+    items: dict[str, VqaItem] = {}
     n_ignored = 0
     for where, row in _read_jsonl(args.pred):
         qid = read_field(row, QUESTION_KEYS, where)
@@ -240,13 +243,15 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
             log.warning("prediction for unknown question %s ignored", qid)
             n_ignored += 1
             continue
-        items.append(VqaItem(question_id=qid, prediction=prediction, references=references[qid]))
-    missing = set(references) - {i.question_id for i in items}
+        if qid in items:
+            raise SchemaViolationError(f"{where}: repeated id {qid!r}")
+        items[qid] = VqaItem(question_id=qid, prediction=prediction, references=references[qid])
+    missing = references.keys() - items.keys()
     if missing:
         raise SchemaViolationError(f"{args.pred}: no prediction for questions {sorted(missing)[:5]}")
 
     strict = args.mode == "acc"
-    result = evaluate(items, strict=strict, raw=args.raw_match)
+    result = evaluate(list(items.values()), strict=strict, raw=args.raw_match)
     key = "acc" if strict else "pacc"
     metrics = {key: float(result.mean_score), "n_items": len(result.per_item), "n_ignored": n_ignored}
     details = {
@@ -275,6 +280,8 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
         if image_id in items:
             raise SchemaViolationError(f"{where}: repeated id {image_id}")
         items[image_id] = CaptionItem(image_id=image_id, candidate=candidate, references=references[image_id])
+    if not items:
+        raise SchemaViolationError(f"{args.pred}: no predictions to score")
 
     # A reference image with no prediction is neither scored nor counted in CIDEr's document frequencies.
     ignored = [image_id for image_id in references if image_id not in items]
@@ -341,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rules", default=None, help="filter rules YAML")
     gen.add_argument("--prompt", default=None, help="prompt config YAML")
     gen.add_argument("--script", default=None, help="mock backend script JSONL")
-    gen.add_argument("--keep-raw", action="store_true", help="keep raw responses in memory for debugging")
     gen.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True, help="skip captions already in --out")
     gen.add_argument("--cache-dir", default=None, help="enable the response cache at this directory")
     gen.add_argument("--rate-limit-rpm", type=int, default=None)

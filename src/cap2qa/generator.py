@@ -6,13 +6,13 @@ bounded number of attempts until at least one pair survives. Captions whose
 attempts all come back empty are reported as exhausted rather than failing
 the run.
 
-The corpus driver fans captions out to a worker pool (or, with one worker,
-runs them in the calling thread) but writes output JSONL strictly in caption
-input order through a bounded reorder window: 4 captions in the calling
-thread, 64 per worker in a pool, so that a caption in retry backoff does not
-idle the other workers. A failed or interrupted pool run cancels the
-captions that have not started. The driver can resume an interrupted run by
-skipping captions already present in the output.
+The corpus driver runs captions one at a time in the calling thread, or
+fans them out to a worker pool through a bounded reorder window of 64
+captions per worker, so that a caption in retry backoff does not idle the
+other workers; either way it writes output JSONL strictly in caption input
+order. A failed or interrupted run starts no further caption. The driver can
+resume an interrupted run by skipping captions already present in the
+output.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class GeneratorConfig:
     model_id: str = "gpt-3.5-turbo"
     temperature: float = 0.0
     max_output_tokens: int = 512
-    keep_raw: bool = False
 
     def __post_init__(self):
         if self.retry < 1:
@@ -72,13 +71,19 @@ class GeneratorConfig:
             raise ValueError("workers must be >= 1")
         if self.cache_enabled and self.cache_dir is None:
             raise ValueError("cache_enabled requires cache_dir")
+        if self.rate_limit_rpm is not None and self.rate_limit_rpm < 1:
+            raise ValueError(f"rate_limit_rpm must be >= 1, got {self.rate_limit_rpm}")
+        # AssistantRequest checks the sampling settings: fail before a run touches its output.
+        self.request("-")
+
+    def request(self, prompt_text: str) -> AssistantRequest:
+        return AssistantRequest(prompt_text, self.model_id, self.temperature, self.max_output_tokens)
 
 
 @dataclass
 class GenerationOutcome:
     records: list[InstructionRecord]
     attempts_used: int
-    raw_responses: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -145,22 +150,9 @@ def generate_for_caption(
     """
     clock = clock or SystemClock()
     client = client or make_client(config, clock)
-    bundle = render(config.prompt, caption)
-    request = AssistantRequest(
-        prompt_text=bundle.rendered,
-        model_id=config.model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
-
-    raw_responses: list[str] = []
-    attempts_used = 0
+    request = config.request(render(config.prompt, caption).rendered)
     for attempt in range(1, config.retry + 1):
-        attempts_used = attempt
-        response = client.complete(request)
-        if config.keep_raw:
-            raw_responses.append(response.text)
-        report = filter_artifacts(parse_qas(response.text), config.rules)
+        report = filter_artifacts(parse_qas(client.complete(request).text), config.rules)
         if report.kept:
             records = [
                 InstructionRecord(
@@ -177,8 +169,8 @@ def generate_for_caption(
                 )
                 for pair in report.kept
             ]
-            return GenerationOutcome(records=records, attempts_used=attempt, raw_responses=raw_responses)
-    return GenerationOutcome(records=[], attempts_used=attempts_used, raw_responses=raw_responses)
+            return GenerationOutcome(records=records, attempts_used=attempt)
+    return GenerationOutcome(records=[], attempts_used=config.retry)
 
 
 def _run_inline(fn, *args, **kwargs) -> Future:
@@ -191,22 +183,6 @@ def _run_inline(fn, *args, **kwargs) -> Future:
     else:
         future.set_result(result)
     return future
-
-
-def _lines_backwards(fh, end: int):
-    """Yield the lines of binary file ``fh`` before byte ``end``, last first, without newlines."""
-    pos, head = end, []
-    while pos > 0:
-        start = max(0, pos - (1 << 16))
-        fh.seek(start)
-        first, *lines = fh.read(pos - start).split(b"\n")
-        pos = start
-        if lines:
-            lines[-1] += b"".join(reversed(head))
-            head = []
-            yield from reversed(lines)
-        head.append(first)
-    yield b"".join(reversed(head))
 
 
 def _drop_torn_tail(path: Path) -> None:
@@ -224,34 +200,33 @@ def _drop_torn_tail(path: Path) -> None:
     except OSError as exc:
         raise IoFailureError(f"cannot open {path}: {exc}") from exc
     with fh:
-        size = fh.seek(0, os.SEEK_END)
-        if size == 0:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
             return
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return
-        lines = _lines_backwards(fh, size)
-        torn = next(lines)
-        keep = size - len(torn)
-        torn_image = image_id_of_prefix(torn)
-        caption_ids = None
-        n_lines = 0
-        for line in lines:
+        # One forward pass finds the group of complete lines that share one
+        # source_caption_ids and end where the torn line starts. A line that
+        # is not a record ends a group, is never cut, and fails the resume scan.
+        fh.seek(0)
+        group_start = group_ids = group_image = None
+        group_lines = pos = 0
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
             try:
                 record = json.loads(line)
                 ids, image_id = record["source_caption_ids"], record["image_id"]
             except (ValueError, TypeError, KeyError):
-                break
-            if caption_ids is None:
-                if torn_image is not None and torn_image != image_id:
-                    break
-                caption_ids = ids
-            elif ids != caption_ids:
-                break
-            keep -= len(line) + 1
-            n_lines += 1
+                ids = image_id = None
+            if ids is None or ids != group_ids:
+                group_start, group_ids, group_lines = pos, ids, 0
+            group_image = image_id
+            group_lines += 1
+            pos += len(line)
+        torn, keep, n_lines = line, pos, 0
+        if group_ids is not None and image_id_of_prefix(torn) in (None, group_image):
+            keep, n_lines = group_start, group_lines
         fh.truncate(keep)
-    whole_caption = f" and the {n_lines} line(s) of source_caption_ids {caption_ids} before it" if n_lines else ""
+    whole_caption = f" and the {n_lines} line(s) of source_caption_ids {group_ids} before it" if n_lines else ""
     log.warning("resume: dropped an unterminated last line of %s (%d bytes)%s", path, len(torn), whole_caption)
 
 
@@ -277,16 +252,16 @@ def generate_corpus(
     """Generate records for a caption list into a JSONL file.
 
     Output order equals caption input order regardless of worker completion
-    order, through a bounded reorder window. One worker runs each caption in
-    the calling thread, with a window of 4 captions; more run them on a
-    thread pool, with a window of 64 captions per worker. With ``resume``
-    (default), captions that already contributed records to the output file
-    are skipped and new records are appended; an unterminated last line
-    there is dropped first, together with the lines of its caption before
-    it. A backend failure cancels the captions that have not started, writes
-    those that finished or were running, in order, and then propagates, so
-    the partial output stays resumable. Any other way out of a pool run,
-    Ctrl-C included, also cancels the captions that have not started.
+    order. One worker runs each caption in the calling thread and writes it
+    before starting the next; more run them on a thread pool, through a
+    reorder window of 64 captions per worker. With ``resume`` (default),
+    captions that already contributed records to the output file are skipped
+    and new records are appended; an unterminated last line there is dropped
+    first, together with the lines of its caption before it. A backend
+    failure cancels the captions that have not started, writes those that
+    finished or were running, in order, and then propagates, so the partial
+    output stays resumable. Any other way out of a run, Ctrl-C included, also
+    starts no further caption.
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)
@@ -314,7 +289,7 @@ def generate_corpus(
     with out:
         with ExitStack() as stack:
             if config.workers == 1:
-                submit, window_size = _run_inline, 4
+                submit, window_size = _run_inline, 1
             else:
                 pool = stack.enter_context(ThreadPoolExecutor(max_workers=config.workers))
                 # Runs before the pool's own exit: whatever ends the run, an

@@ -51,7 +51,7 @@ class AssistantRequest:
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
         if self.max_output_tokens <= 0:
-            raise ValueError("max_output_tokens must be positive")
+            raise ValueError(f"max_output_tokens must be positive, got {self.max_output_tokens}")
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,50 @@ class TestInputErrors:
         code, lines = run_main(caplog, "eval-vqa", "--pred", pred, "--gt", gt)
         assert (code, lines) == (1, [f"{gt}:2: repeated id '1'"])
 
+    def test_repeated_pred_question_id_is_exit_1(self, tmp_path, caplog):
+        gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": "q1", "answer": "dog"}, {"question_id": "q2", "answer": "cat"}])
+        pred = write_jsonl(
+            tmp_path / "p.jsonl",
+            [
+                {"question_id": "q1", "prediction": "dog"},
+                {"question_id": "q2", "prediction": "cat"},
+                {"qid": "q1", "prediction": "cat"},
+            ],
+        )
+        code, lines = run_main(caplog, "eval-vqa", "--pred", pred, "--gt", gt)
+        assert (code, lines) == (1, [f"{pred}:3: repeated id 'q1'"])
+
+    def test_empty_caption_predictions_is_exit_1(self, tmp_path, caplog):
+        refs = write_jsonl(tmp_path / "refs.jsonl", [{"image_id": 1, "captions": ["a red bird"]}])
+        pred = write_jsonl(tmp_path / "pred.jsonl", [])
+        code, lines = run_main(caplog, "eval-caption", "--pred", pred, "--refs", refs)
+        assert (code, lines) == (1, [f"{pred}: no predictions to score"])
+
+    # A bad setting fails before --out is touched, even where --no-resume
+    # would empty it, and the error names the setting.
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--temperature", "5", "temperature must be in [0, 2], got 5.0"),
+            ("--max-output-tokens", "0", "max_output_tokens must be positive, got 0"),
+            ("--rate-limit-rpm", "0", "rate_limit_rpm must be >= 1, got 0"),
+            ("--rate-limit-rpm", "-1", "rate_limit_rpm must be >= 1, got -1"),
+            ("--retry", "0", "retry must be >= 1"),
+            ("--workers", "0", "workers must be >= 1"),
+            ("--fixed-clock", "yesterday", "--fixed-clock: Invalid isoformat string: 'yesterday'"),
+        ],
+        ids=["temperature", "max-output-tokens", "rpm-zero", "rpm-negative", "retry", "workers", "fixed-clock"],
+    )
+    def test_bad_generate_setting_leaves_out_untouched(self, tmp_path, caplog, mock_generate, flag, value, message):
+        assert main([str(a) for a in mock_generate]) == 0
+        out = tmp_path / "o.jsonl"
+        before = out.read_bytes()
+        assert before
+        caplog.clear()
+        code, lines = run_main(caplog, *mock_generate, "--no-resume", flag, value)
+        assert (code, lines) == (1, [message])
+        assert out.read_bytes() == before
+
     def test_repeated_refs_image_id_is_exit_1(self, tmp_path, caplog):
         refs = write_jsonl(
             tmp_path / "refs.jsonl",

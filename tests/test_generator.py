@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cap2qa import generator
 from cap2qa.clocks import FixedClock
 from cap2qa.corpus import CaptionRecord, read_instructions
-from cap2qa.errors import MalformedLineError, ScriptExhaustedError
+from cap2qa.errors import InputError, MalformedLineError, ScriptExhaustedError
 from cap2qa.generator import (
     GeneratorConfig,
     QAPair,
@@ -175,11 +175,6 @@ class TestGenerateForCaption:
         assert outcome.records == []
         assert outcome.attempts_used == 3
 
-    def test_keep_raw_collects_responses(self):
-        cfg = config("junk", "Question: Q?\nAnswer: A.", retry=2, keep_raw=True)
-        outcome = generate_for_caption(caption(), cfg, clock=FixedClock(NOW))
-        assert outcome.raw_responses == ["junk", "Question: Q?\nAnswer: A."]
-
     def test_retry_lower_bound(self):
         with pytest.raises(ValueError):
             config("x", retry=0)
@@ -297,26 +292,25 @@ class TestGenerateCorpus:
         assert summary.n_records == 6
         assert threads == {threading.get_ident()}
 
-    # In the calling thread the reorder window holds 4 captions, so the failure
-    # of caption 2 surfaces once caption 5 has run, and 6 and 7 never run. The
-    # pool case is TestPoolWindow.test_failure_cancels_the_queued_captions.
-    @pytest.mark.parametrize("workers, written", [(1, [0, 1, 3, 4, 5])])
-    def test_backend_failure_drains_the_window(self, tmp_path, workers, written):
+    # In the calling thread the window holds one caption: the failure of
+    # caption 2 ends the run before any caption after it reaches the backend.
+    # The pool case is TestPoolWindow.test_failure_cancels_the_queued_captions.
+    def test_backend_failure_drains_the_window(self, tmp_path):
         captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(8)]
-        responses = [f"Question: Q{i}?\nAnswer: A{i}." for i in range(8)]
-        cfg = config(workers=workers, retry=1)
-        by_hash = scripted_by_caption(captions, responses, cfg)
-        cfg.backend = BackendSpec(kind="mock", script=MockScript((), by_hash))
+        cfg = config(workers=1, retry=1)
         full = tmp_path / "full.jsonl"
-        generate_corpus(captions, cfg, full, clock=FixedClock(NOW))
+        generate_corpus(captions, cfg, full, clock=FixedClock(NOW), client=ScriptedClient(cfg, captions))
 
-        del by_hash[prompt_hash(render(cfg.prompt, captions[2]).rendered)]
-        cfg.backend = BackendSpec(kind="mock", script=MockScript((), by_hash))
+        def fail_at_2(cid):
+            if cid == 2:
+                raise ScriptExhaustedError("mock script has no response left")
+
+        client = ScriptedClient(cfg, captions, fail_at_2)
         out = tmp_path / "out.jsonl"
         with pytest.raises(ScriptExhaustedError):
-            generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
-        lines = full.read_bytes().splitlines(keepends=True)
-        assert out.read_bytes() == b"".join(lines[i] for i in written)
+            generate_corpus(captions, cfg, out, clock=FixedClock(NOW), client=client)
+        assert client.calls == [0, 1, 2]
+        assert out.read_bytes() == b"".join(full.read_bytes().splitlines(keepends=True)[:2])
 
 
 # Every wait in a scheduling test is bounded, so a broken pool fails the test
@@ -473,6 +467,22 @@ class TestTornTail:
             generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full[:-40] + b"\n"
 
+    # The line before the torn one ends in a newline but is not a record. The
+    # torn line shows no image id, which would drop a record before it; this
+    # line is kept, and the resume scan fails naming it (exit 1).
+    @pytest.mark.parametrize(
+        "malformed, message",
+        [(b'{"image_id": 101, "question": "Q1?\n', "Invalid control character"), (b'{"image_id": 101}\n', "missing 'provenance'")],
+        ids=["not-json", "not-a-record"],
+    )
+    def test_malformed_line_before_the_torn_line_is_kept(self, tmp_path, malformed, message):
+        captions, cfg, full = self.full_run(tmp_path, 3)
+        lines = full.splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(lines[0] + malformed + lines[2][:5])
+        with pytest.raises(InputError, match=rf"torn\.jsonl:2: {message}"):
+            generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
+        assert torn.read_bytes() == lines[0] + malformed
 
     # A kill can tear a caption after some of its lines are written. Captions
     # 0 and 2 get two records each, caption 1 one; captions 0 and 1 show the
@@ -500,3 +510,21 @@ class TestTornTail:
         summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full.read_bytes()
         assert summary.n_records == written
+
+    # Each record of caption 1 is longer than 64 KiB; torn deep inside its
+    # second line, the caption is regenerated whole.
+    def test_resume_regenerates_a_caption_longer_than_64_kib(self, tmp_path):
+        captions = [caption(0, 10, "first"), caption(1, 11, "second")]
+        long = "x" * (1 << 16)
+        responses = ["Question: Q0?\nAnswer: A0.", f"Question: Q1a?\nAnswer: a{long}.\nQuestion: Q1b?\nAnswer: b{long}."]
+        cfg = config()
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), scripted_by_caption(captions, responses, cfg)))
+        full = tmp_path / "full.jsonl"
+        generate_corpus(captions, cfg, full, clock=FixedClock(NOW))
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 3 and min(len(line) for line in lines[1:]) > 1 << 16
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(lines[0] + lines[1] + lines[2][: 1 << 15])
+        summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
+        assert torn.read_bytes() == full.read_bytes()
+        assert summary.n_records == 2
