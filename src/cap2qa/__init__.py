@@ -8,6 +8,7 @@ from .corpus import (
     InstructionRecord,
     ObjectAnnotation,
     Provenance,
+    QAPair,
     dataset_stats,
     load_coco_captions,
     load_object_annotations,
@@ -27,7 +28,7 @@ from .eval_hallucination import (
 )
 from .eval_vqa import VqaItem, acc_score, evaluate, pacc_score
 from .filters import FilterRule, default_rules, filter_artifacts
-from .generator import GeneratorConfig, QAPair, generate_corpus, parse_qas
+from .generator import GeneratorConfig, generate_corpus, parse_qas
 from .llm_client import AssistantClient, AssistantRequest, BackendSpec, MockScript
 from .promptkit import PromptConfig, default_prompt_config, render
 

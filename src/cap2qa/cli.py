@@ -177,7 +177,7 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
     else:
         lexicon = default_lexicon()
 
-    annotations = {a.image_id: a for a in load_object_annotations(args.instances, lexicon)}
+    annotations = {a.image_id: a for a in load_object_annotations(args.instances, lexicon.categories)}
     answers: list[AnswerRecord] = []
     for where, row in _read_jsonl(args.answers):
         image_id = read_field(row, IMAGE_KEYS, where, int)
@@ -276,7 +276,7 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
         image_id = read_field(row, IMAGE_KEYS, where, int)
         candidate = read_field(row, ("caption", "prediction", "text"), where)
         if image_id not in references:
-            raise SchemaViolationError(f"{args.refs}: no references for image {image_id}")
+            raise SchemaViolationError(f"{where}: no references for image_id {image_id} in {args.refs}")
         if image_id in items:
             raise SchemaViolationError(f"{where}: repeated id {image_id}")
         items[image_id] = CaptionItem(image_id=image_id, candidate=candidate, references=references[image_id])

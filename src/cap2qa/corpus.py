@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import yaml
 
@@ -31,9 +31,6 @@ from .errors import (
     SchemaViolationError,
     UnknownCategoryIdError,
 )
-
-if TYPE_CHECKING:
-    from .eval_hallucination import Lexicon
 
 # Field names that identify the image in evaluation and foreign QA JSONL.
 IMAGE_KEYS = ("image_id", "image", "img_id")
@@ -67,6 +64,14 @@ class Provenance:
     prompt_version: str
     attempt: int
     created_at: datetime
+
+
+@dataclass(frozen=True)
+class QAPair:
+    """One question-answer pair parsed from an assistant response."""
+
+    question: str
+    answer: str
 
 
 @dataclass(frozen=True)
@@ -226,9 +231,7 @@ def load_coco_captions(path: str | Path) -> list[CaptionRecord]:
     return records
 
 
-def load_object_annotations(
-    instances_path: str | Path, vocabulary: "Lexicon | Iterable[str]"
-) -> list[ObjectAnnotation]:
+def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str]) -> list[ObjectAnnotation]:
     """Read a COCO instance-annotation JSON into per-image category sets.
 
     Positives are the categories with at least one instance annotation,
@@ -237,8 +240,7 @@ def load_object_annotations(
     positives. Images come in the order of the ``images`` array, then in the
     order annotations first name the rest.
     """
-    vocab_set = set(getattr(vocabulary, "categories", vocabulary))
-
+    vocab_set = set(vocabulary)
     data = load_json(instances_path)
     categories = data.get("categories")
     annotations = data.get("annotations")
@@ -387,15 +389,22 @@ def scan_jsonl_stats(path: str | Path) -> DatasetStats:
     """Tolerant stats over arbitrary QA-style JSONL.
 
     Accepts records from other toolchains: any of the keys ``image_id``,
-    ``image`` or ``img_id`` identifies the image; ``question``/``answer``
-    fields feed the word averages when present (otherwise they count as
-    empty). Useful to sanity-check externally published datasets.
+    ``image`` or ``img_id`` identifies the image (any value but a list or an
+    object); ``question``/``answer`` fields feed the word averages when
+    present (otherwise they count as empty). Useful to sanity-check
+    externally published datasets.
     """
-    return _stats(
-        (
-            next((obj[key] for key in IMAGE_KEYS if key in obj), _NO_IMAGE),
-            obj.get("question", ""),
-            obj.get("answer", ""),
-        )
-        for _, obj in iter_jsonl(path)
-    )
+    rows = iter_jsonl(path)
+    return _stats((_lenient_image(obj, where), obj.get("question", ""), obj.get("answer", "")) for where, obj in rows)
+
+
+def _lenient_image(obj: dict, where: str):
+    """The first image key's value, as is unless it is a list or an object, which cannot be counted."""
+    key = next((key for key in IMAGE_KEYS if key in obj), None)
+    if key is None:
+        return _NO_IMAGE
+    image = obj[key]
+    if type(image) in (list, dict):
+        shown = json.dumps(image, ensure_ascii=False)
+        raise SchemaViolationError(f"{where}: {key!r} must not be a list or an object, got {shown}")
+    return image

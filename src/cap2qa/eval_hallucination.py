@@ -63,7 +63,6 @@ class Lexicon:
     categories: tuple[str, ...]
     synonyms: dict[str, frozenset] = field(default_factory=dict)
     surface_to_category: dict[tuple, str] = field(init=False)
-    max_window: int = field(init=False)
     # Surface forms with naive plurals folded in (raw last token, then +"s", then +"es"),
     # and for each first token the widths of its folded forms, widest first.
     folded: dict[tuple, str] = field(init=False, repr=False, compare=False)
@@ -82,7 +81,6 @@ class Lexicon:
         for key in folded:
             widths.setdefault(key[0], set()).add(len(key))
         object.__setattr__(self, "surface_to_category", surface_map)
-        object.__setattr__(self, "max_window", max(map(len, surface_map), default=1))
         object.__setattr__(self, "folded", folded)
         object.__setattr__(self, "widths", {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()})
 

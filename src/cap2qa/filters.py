@@ -12,15 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-import yaml
-
-from .corpus import _objects, load_yaml, read_field
+from .corpus import QAPair, _objects, load_yaml, read_field
 from .errors import SchemaViolationError
-
-if TYPE_CHECKING:
-    from .generator import QAPair
 
 # For each scope, the fields it scans as indices into (question, answer).
 _SCANNED = {"question": (0,), "answer": (1,), "either": (0, 1)}
@@ -54,8 +49,8 @@ class FilterRule:
 
 @dataclass
 class FilterReport:
-    kept: list["QAPair"]
-    rejected: list[tuple["QAPair", str]]
+    kept: list[QAPair]
+    rejected: list[tuple[QAPair, str]]
     input_count: int = field(default=0)
 
 
@@ -101,7 +96,7 @@ def _check_unique_ids(rules: Sequence[FilterRule]) -> None:
         seen.add(rule.rule_id)
 
 
-def filter_artifacts(pairs: Iterable["QAPair"], rules: Sequence[FilterRule]) -> FilterReport:
+def filter_artifacts(pairs: Iterable[QAPair], rules: Sequence[FilterRule]) -> FilterReport:
     """Partition pairs into kept and rejected, preserving input order.
 
     A pair is rejected iff at least one rule matches its scoped fields; the
@@ -143,19 +138,3 @@ def load_rules(path: str | Path) -> list[FilterRule]:
     except ValueError as exc:
         raise SchemaViolationError(f"{path}: {exc}") from exc
     return rules
-
-
-def save_rules(rules: Sequence[FilterRule], path: str | Path) -> None:
-    doc = {
-        "rules": [
-            {
-                "rule_id": r.rule_id,
-                "scope": r.scope,
-                "pattern": r.pattern,
-                "description": r.description,
-            }
-            for r in rules
-        ]
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, allow_unicode=True, sort_keys=False)

@@ -32,6 +32,7 @@ from .corpus import (
     CaptionRecord,
     InstructionRecord,
     Provenance,
+    QAPair,
     image_id_of_prefix,
     read_instructions,
     record_to_line,
@@ -42,12 +43,6 @@ from .llm_client import AssistantClient, AssistantRequest, BackendSpec
 from .promptkit import PromptConfig, default_prompt_config, render
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class QAPair:
-    question: str
-    answer: str
 
 
 @dataclass
@@ -123,13 +118,12 @@ def parse_qas(raw: str) -> list[QAPair]:
     return pairs
 
 
-def make_client(config: GeneratorConfig, clock: Clock | None = None, **kwargs) -> AssistantClient:
+def make_client(config: GeneratorConfig, clock: Clock | None = None) -> AssistantClient:
     return AssistantClient(
         config.backend,
         cache_dir=config.cache_dir if config.cache_enabled else None,
         rate_limit_rpm=config.rate_limit_rpm,
         clock=clock,
-        **kwargs,
     )
 
 
@@ -152,7 +146,7 @@ def generate_for_caption(
     client = client or make_client(config, clock)
     request = config.request(render(config.prompt, caption).rendered)
     for attempt in range(1, config.retry + 1):
-        report = filter_artifacts(parse_qas(client.complete(request).text), config.rules)
+        report = filter_artifacts(parse_qas(client.complete(request)), config.rules)
         if report.kept:
             records = [
                 InstructionRecord(

@@ -54,13 +54,6 @@ class AssistantRequest:
             raise ValueError(f"max_output_tokens must be positive, got {self.max_output_tokens}")
 
 
-@dataclass(frozen=True)
-class AssistantResponse:
-    text: str
-    backend_latency: float
-    from_cache: bool
-
-
 def prompt_hash(prompt_text: str) -> str:
     return hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
 
@@ -145,12 +138,14 @@ class ResponseCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
+        """The cached text, or None when the entry is missing, unreadable or not ``{"text": <non-empty str>}``."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)["text"]
-        except (OSError, json.JSONDecodeError, KeyError):
+            with open(self._path(key), encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):
             return None
+        text = entry.get("text") if type(entry) is dict else None
+        return text if type(text) is str and text else None
 
     def put(self, key: str, text: str) -> None:
         path = self._path(key)
@@ -223,26 +218,24 @@ class AssistantClient:
         self._session = session if session is not None else requests.Session()
         self._rng = rng or random.Random()
 
-    def complete(self, request: AssistantRequest) -> AssistantResponse:
+    def complete(self, request: AssistantRequest) -> str:
         """Return the assistant's text for a request, from cache when possible."""
         key = cache_key(request) if self.cache else None
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
-                return AssistantResponse(text=cached, backend_latency=0.0, from_cache=True)
+                return cached
 
-        start = self.clock.monotonic()
         if self.backend.kind == "mock":
             text = self.backend.script.next_for(request.prompt_text)
         else:
             text = self._complete_http(request)
         if not text:
             raise ResponseEmptyError("backend returned an empty response")
-        latency = self.clock.monotonic() - start
 
         if key is not None:
             self.cache.put(key, text)
-        return AssistantResponse(text=text, backend_latency=latency, from_cache=False)
+        return text
 
     def _complete_http(self, request: AssistantRequest) -> str:
         url = self.backend.base_url.rstrip("/") + "/chat/completions"

@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .corpus import CaptionRecord, as_kind, load_yaml, read_field
 from .errors import EmptyCaptionError, SchemaViolationError
 
@@ -72,10 +70,7 @@ class PromptConfig:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    config: PromptConfig
-    caption_text: str
     rendered: str
-    content_hash: str
 
 
 def default_prompt_config() -> PromptConfig:
@@ -104,22 +99,7 @@ def render(config: PromptConfig, caption: CaptionRecord) -> PromptBundle:
     lines.append("")
     lines.append("Caption:")
     lines.append(caption.text)
-    rendered = "\n".join(lines) + "\n"
-    content_hash = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-    return PromptBundle(config=config, caption_text=caption.text, rendered=rendered, content_hash=content_hash)
-
-
-def save_prompt_config(config: PromptConfig, path: str | Path) -> None:
-    """Write a config as YAML so operators can version prompts outside code."""
-    label = config.version_tag.rsplit("-", 1)[0]
-    doc = {
-        "label": label,
-        "bottom_rules": list(config.bottom_rules),
-        "task_description": config.task_description,
-        "conditions": list(config.conditions),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, allow_unicode=True, sort_keys=False)
+    return PromptBundle(rendered="\n".join(lines) + "\n")
 
 
 def load_prompt_config(path: str | Path) -> PromptConfig:

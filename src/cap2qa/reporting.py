@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from . import __version__ as _version
-from .corpus import load_json
+from .corpus import as_kind, load_json
 from .errors import MissingFileError, SchemaViolationError
 
 _DISPLAY_NAMES = {
@@ -101,8 +101,8 @@ def load_report(path: str) -> Report:
     try:
         return Report(
             command=payload["command"],
-            inputs=payload.get("inputs", {}),
-            metrics=payload.get("metrics", {}),
+            inputs=as_kind(payload.get("inputs", {}), dict, path, "'inputs'"),
+            metrics=as_kind(payload.get("metrics", {}), dict, path, "'metrics'"),
             started_at=datetime.fromisoformat(payload["started_at"]),
             finished_at=datetime.fromisoformat(payload["finished_at"]),
             details=payload.get("details", {}),

@@ -107,6 +107,18 @@ class TestGenerate:
         )
         assert code == 2
 
+    def test_corrupt_cache_entry_is_fetched_again(self, tmp_path, mock_generate):
+        cache = tmp_path / "cache"
+        args = [str(a) for a in mock_generate + ["--cache-dir", cache, "--fixed-clock", "2024-05-01T00:00:00", "--no-resume"]]
+        assert main(args) == 0
+        out = tmp_path / "o.jsonl"
+        expected = out.read_bytes()
+        (entry,) = cache.iterdir()
+        entry.write_text("[1]", encoding="utf-8")
+        assert main(args) == 0
+        assert out.read_bytes() == expected
+        assert json.loads(entry.read_text(encoding="utf-8")) == {"text": "Question: Q?\nAnswer: A."}
+
     def test_config_file_with_flag_override(self, tmp_path):
         entries = [(1, 10, "A cat sits.")]
         captions = write_caption_file(tmp_path / "c.json", entries)
@@ -242,10 +254,11 @@ class TestEvalCaption:
         assert metrics["bleu_4"] == 1.0
         assert metrics["cider"] == pytest.approx(10.0)
 
-    def test_missing_refs_is_exit_1(self, tmp_path):
+    def test_missing_refs_is_exit_1(self, tmp_path, caplog):
         refs = write_jsonl(tmp_path / "refs.jsonl", [{"image_id": 1, "captions": ["a"]}])
-        pred = write_jsonl(tmp_path / "pred.jsonl", [{"image_id": 2, "caption": "b"}])
-        assert main(["eval-caption", "--pred", str(pred), "--refs", str(refs)]) == 1
+        pred = write_jsonl(tmp_path / "pred.jsonl", [{"image_id": 1, "caption": "a"}, {"image_id": 2, "caption": "b"}])
+        code, lines = run_main(caplog, "eval-caption", "--pred", pred, "--refs", refs)
+        assert (code, lines) == (1, [f"{pred}:2: no references for image_id 2 in {refs}"])
 
     def test_reference_without_prediction_is_counted_as_ignored(self, tmp_path, capsys, caplog):
         rows = [
@@ -529,6 +542,13 @@ class TestInputErrors:
         code, lines = run_main(caplog, "eval-chair", "--answers", answers, "--instances", instances)
         assert (code, lines) == (1, [f"{answers}:2: no object annotation for image_id 2 in {instances}"])
 
+    @pytest.mark.parametrize("key, value", [("image_id", [1]), ("image", {"id": 1}), ("img_id", [])])
+    def test_lenient_stats_list_or_object_image_id_is_exit_1(self, tmp_path, caplog, key, value):
+        data = write_jsonl(tmp_path / "foreign.jsonl", [{"image": "a.jpg", "answer": "x"}, {key: value, "answer": "y"}])
+        code, lines = run_main(caplog, "stats", "--dataset", data, "--lenient")
+        shown = json.dumps(value)
+        assert (code, lines) == (1, [f"{data}:2: {key!r} must not be a list or an object, got {shown}"])
+
     def test_non_list_reference_is_exit_1(self, tmp_path, caplog):
         gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": 1, "answer": 5}])
         pred = write_jsonl(tmp_path / "p.jsonl", [{"question_id": 1, "prediction": "5"}])
@@ -541,8 +561,10 @@ class TestInputErrors:
             {"command": "x"},
             {"command": "x", "started_at": "yesterday", "finished_at": "2024-05-01T00:00:00+00:00"},
             ["not", "a", "report"],
+            {"command": "x", "started_at": "2024-05-01T00:00:00", "finished_at": "2024-05-01T00:00:00", "metrics": [1]},
+            {"command": "x", "started_at": "2024-05-01T00:00:00", "finished_at": "2024-05-01T00:00:00", "inputs": ["a"]},
         ],
-        ids=["missing-fields", "bad-timestamp", "not-an-object"],
+        ids=["missing-fields", "bad-timestamp", "not-an-object", "metrics-not-an-object", "inputs-not-an-object"],
     )
     def test_bad_report_is_exit_1_in_one_line(self, tmp_path, caplog, payload):
         path = tmp_path / "report.json"

@@ -49,9 +49,6 @@ class TestLexicon:
         assert lexicon.category_of("man") == "person"
         assert lexicon.category_of("table") == "dining table"
 
-    def test_multiword_window(self, lexicon):
-        assert lexicon.max_window == 2
-
     def test_duplicate_surface_form_rejected(self):
         with pytest.raises(DuplicateSurfaceFormError):
             Lexicon(

@@ -19,7 +19,7 @@ from cap2qa.generator import (
     generate_for_caption,
     parse_qas,
 )
-from cap2qa.llm_client import AssistantResponse, BackendSpec, MockScript, prompt_hash
+from cap2qa.llm_client import BackendSpec, MockScript, prompt_hash
 from cap2qa.promptkit import default_prompt_config, render
 
 NOW = datetime(2024, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -332,7 +332,7 @@ class ScriptedClient:
         cid = self.ids[request.prompt_text]
         self.calls.append(cid)
         self.hook(cid)
-        return AssistantResponse(text=f"Question: Q{cid}?\nAnswer: A{cid}.", backend_latency=0.0, from_cache=False)
+        return f"Question: Q{cid}?\nAnswer: A{cid}."
 
 
 def watch_pool(monkeypatch, done_callbacks=None):

@@ -1,3 +1,4 @@
+import json
 import random
 from datetime import datetime, timezone
 
@@ -147,9 +148,7 @@ class TestMockScript:
 class TestComplete:
     def test_mock_round_trip(self):
         client = AssistantClient(mock_backend("Answer: 42"), clock=FixedClock(NOW))
-        response = client.complete(request())
-        assert response.text == "Answer: 42"
-        assert response.from_cache is False
+        assert client.complete(request()) == "Answer: 42"
 
     def test_empty_response_rejected(self):
         client = AssistantClient(mock_backend(""), clock=FixedClock(NOW))
@@ -158,26 +157,38 @@ class TestComplete:
 
     def test_cache_round_trip(self, tmp_path):
         client = AssistantClient(mock_backend("only once"), cache_dir=tmp_path / "cache", clock=FixedClock(NOW))
-        first = client.complete(request())
-        second = client.complete(request())
-        assert first.text == second.text == "only once"
-        assert second.from_cache is True
-        # a fresh client over the same directory also hits the cache
+        # the script holds one response, so the second answer comes from the cache
+        assert client.complete(request()) == client.complete(request()) == "only once"
+        # a fresh client over the same directory, with an empty script, also hits the cache
         other = AssistantClient(mock_backend(), cache_dir=tmp_path / "cache", clock=FixedClock(NOW))
-        assert other.complete(request()).from_cache is True
+        assert other.complete(request()) == "only once"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [b"[1]", b'{"text": 5}', b'{"text": ""}', b'{"text": null}', b"{}", b'"text"', b"null", b'{"text": "cut', b"\xff"],
+        ids=["list", "number", "empty", "null-text", "no-text", "string", "null", "truncated", "not-utf8"],
+    )
+    def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(self, tmp_path, entry):
+        cache_dir = tmp_path / "cache"
+        path = cache_dir / f"{cache_key(request())}.json"
+        cache_dir.mkdir()
+        path.write_bytes(entry)
+        client = AssistantClient(mock_backend("fresh"), cache_dir=cache_dir, clock=FixedClock(NOW))
+        assert client.complete(request()) == "fresh"
+        assert json.loads(path.read_text(encoding="utf-8")) == {"text": "fresh"}
 
     def test_cache_does_not_leak_across_models(self, tmp_path):
         client = AssistantClient(mock_backend("a", "b"), cache_dir=tmp_path / "cache", clock=FixedClock(NOW))
         one = client.complete(request())
         two = client.complete(AssistantRequest(prompt_text="Question: ?", model_id="other-model"))
-        assert (one.text, two.text) == ("a", "b")
+        assert (one, two) == ("a", "b")
 
 
 class TestHttp:
     def test_success_payload_shape(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         client, session = http_client([FakeResponse(200, ok_body("fine"))])
-        assert client.complete(request("hello")).text == "fine"
+        assert client.complete(request("hello")) == "fine"
         call = session.calls[0]
         assert call["url"] == "https://api.example.test/v1/chat/completions"
         assert call["json"]["model"] == "gpt-3.5-turbo"
@@ -194,7 +205,7 @@ class TestHttp:
         client, session = http_client(
             [FakeResponse(500), FakeResponse(429), FakeResponse(200, ok_body("ok"))]
         )
-        assert client.complete(request()).text == "ok"
+        assert client.complete(request()) == "ok"
         assert len(session.calls) == 3
         assert len(client.clock.sleeps) == 2
 
@@ -202,7 +213,7 @@ class TestHttp:
         client, session = http_client(
             [requests.exceptions.ConnectionError("down"), FakeResponse(200, ok_body("ok"))]
         )
-        assert client.complete(request()).text == "ok"
+        assert client.complete(request()) == "ok"
         assert len(session.calls) == 2
 
     def test_exhaustion_raises_unavailable(self):
