@@ -75,25 +75,26 @@ def _read_jsonl(path: str) -> list[tuple[str, dict]]:
     return list(iter_jsonl(path))
 
 
-def _emit(
-    command: str,
-    input_paths: list,
-    metrics: dict,
-    started: datetime,
-    clock: Clock,
-    out_path: str | None,
-    details: dict | None = None,
-) -> int:
-    """Hash the inputs, write the run report to ``out_path`` or stdout, return exit 0."""
+def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths: list, metrics: dict, details: dict) -> None:
+    """Hash the inputs and write the run report to ``--report`` or stdout."""
     inputs = {str(path): sha256_file(path) for path in input_paths if path}
-    report = Report(command, inputs, metrics, started, clock.now(), details or {})
+    report = Report(args.command, inputs, metrics, started, clock.now(), details)
     rendered = report_render(report, "json")
-    if out_path:
-        Path(out_path).write_text(rendered, encoding="utf-8")
-        log.info("report written to %s", out_path)
+    if args.report:
+        Path(args.report).write_text(rendered, encoding="utf-8")
+        log.info("report written to %s", args.report)
     else:
         sys.stdout.write(rendered)
-    return 0
+
+
+def _clock(args: argparse.Namespace) -> Clock:
+    """The clock that stamps the run's records and report; it never paces the backend."""
+    if args.fixed_clock is None:
+        return SystemClock()
+    try:
+        return FixedClock(datetime.fromisoformat(args.fixed_clock))
+    except ValueError as exc:
+        raise SchemaViolationError(f"--fixed-clock: {exc}") from exc
 
 
 # --- generate -----------------------------------------------------------
@@ -119,7 +120,7 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
     settings = _settings(args)
     backend_kind = settings.pop("backend", "http")
     script, base_url = settings.pop("script", None), settings.pop("base_url", None)
@@ -143,12 +144,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         settings["prompt"] = load_prompt_config(settings["prompt"])
     config = GeneratorConfig(backend=backend, **settings)
 
-    try:
-        clock: Clock = FixedClock(datetime.fromisoformat(args.fixed_clock)) if args.fixed_clock else SystemClock()
-    except ValueError as exc:
-        raise SchemaViolationError(f"--fixed-clock: {exc}") from exc
-    started = clock.now()
-
     captions = load_coco_captions(args.captions)
     log.info("loaded %d captions from %s", len(captions), args.captions)
     summary = generate_corpus(captions, config, args.out, resume=args.resume, clock=clock)
@@ -161,15 +156,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
 
     details = {"out": str(args.out), "prompt_version": config.prompt.version_tag, "model_id": config.model_id}
-    return _emit("generate", [args.captions], asdict(summary), started, clock, args.report, details)
+    return [args.captions], asdict(summary), details
 
 
 # --- eval-chair ---------------------------------------------------------
 
 
-def _cmd_eval_chair(args: argparse.Namespace) -> int:
-    clock = SystemClock()
-    started = clock.now()
+def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
     if args.categories:
         lexicon = build_lexicon(args.categories, args.synonyms)
     elif args.synonyms:
@@ -205,8 +198,7 @@ def _cmd_eval_chair(args: argparse.Namespace) -> int:
             for b in result.per_answer
         ]
     }
-    input_paths = [args.answers, args.instances, args.categories, args.synonyms]
-    return _emit("eval-chair", input_paths, metrics, started, clock, args.report, details)
+    return [args.answers, args.instances, args.categories, args.synonyms], metrics, details
 
 
 # --- eval-vqa -----------------------------------------------------------
@@ -230,9 +222,7 @@ def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str,
     return refs
 
 
-def _cmd_eval_vqa(args: argparse.Namespace) -> int:
-    clock = SystemClock()
-    started = clock.now()
+def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
     items: dict[str, VqaItem] = {}
     n_ignored = 0
@@ -261,15 +251,13 @@ def _cmd_eval_vqa(args: argparse.Namespace) -> int:
             for s in result.per_item
         ],
     }
-    return _emit("eval-vqa", [args.pred, args.gt], metrics, started, clock, args.report, details)
+    return [args.pred, args.gt], metrics, details
 
 
 # --- eval-caption -------------------------------------------------------
 
 
-def _cmd_eval_caption(args: argparse.Namespace) -> int:
-    clock = SystemClock()
-    started = clock.now()
+def _cmd_eval_caption(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.refs, IMAGE_KEYS, ("references", "captions", "caption"), int)
     items: dict[int, CaptionItem] = {}
     for where, row in _read_jsonl(args.pred):
@@ -302,29 +290,26 @@ def _cmd_eval_caption(args: argparse.Namespace) -> int:
         "n_ignored": len(ignored),
     }
     details = {"cider_variant": "cider-d" if args.cider_d else "cider"}
-    return _emit("eval-caption", [args.pred, args.refs], metrics, started, clock, args.report, details)
+    return [args.pred, args.refs], metrics, details
 
 
 # --- stats --------------------------------------------------------------
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    clock = SystemClock()
-    started = clock.now()
+def _cmd_stats(args: argparse.Namespace, clock: Clock) -> tuple:
     if args.lenient:
         stats = scan_jsonl_stats(args.dataset)
     else:
         stats = dataset_stats(read_instructions(args.dataset))
-    return _emit("stats", [args.dataset], asdict(stats), started, clock, args.report)
+    return [args.dataset], asdict(stats), {}
 
 
 # --- report -------------------------------------------------------------
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace, clock: Clock) -> None:
     report = load_report(args.in_path)
     sys.stdout.write(report_render(report, args.format))
-    return 0
 
 
 # --- parser -------------------------------------------------------------
@@ -334,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cap2qa", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"cap2qa {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging on stderr")
+    parser.set_defaults(fixed_clock=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="build an instruction corpus from captions")
@@ -353,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rate-limit-rpm", type=int, default=None)
     gen.add_argument("--temperature", type=float, default=None)
     gen.add_argument("--max-output-tokens", type=int, default=None)
-    gen.add_argument("--fixed-clock", default=None, metavar="ISO", help="freeze provenance timestamps (reproducible runs)")
+    gen.add_argument("--fixed-clock", default=None, metavar="ISO", help="freeze record and report timestamps; pacing and backoff stay real-time")
     gen.add_argument("--report", default=None, help="write the run report JSON here instead of stdout")
     gen.set_defaults(func=_cmd_generate)
 
@@ -406,7 +392,13 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        clock = _clock(args)
+        started = clock.now()
+        # A command returns its report's (input paths, metrics, details); ``report`` returns None.
+        result = args.func(args, clock)
+        if result is not None:
+            _emit(args, started, clock, *result)
+        return 0
     except VALIDATION_ERRORS as exc:
         log.error("%s", exc)
         return 1

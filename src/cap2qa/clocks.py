@@ -1,8 +1,10 @@
 """Injectable clocks.
 
-The generation pipeline stamps provenance with ``now()`` and the HTTP client
-paces itself with ``monotonic()``/``sleep()``. Injecting a clock makes both
-reproducible in tests and lets the CLI produce byte-stable outputs on demand.
+The generation pipeline stamps records and reports with ``now()``; the HTTP
+client paces itself with ``monotonic()``/``sleep()``. The CLI's
+``--fixed-clock`` freezes only ``now()`` in records and reports: the rate
+limiter and retry backoff always wait in real time. Tests hand a
+``FixedClock`` to the client itself to make its pacing virtual too.
 """
 
 from __future__ import annotations

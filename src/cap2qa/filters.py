@@ -51,7 +51,10 @@ class FilterRule:
 class FilterReport:
     kept: list[QAPair]
     rejected: list[tuple[QAPair, str]]
-    input_count: int = field(default=0)
+
+    @property
+    def input_count(self) -> int:
+        return len(self.kept) + len(self.rejected)
 
 
 def default_rules() -> list[FilterRule]:
@@ -107,16 +110,14 @@ def filter_artifacts(pairs: Iterable[QAPair], rules: Sequence[FilterRule]) -> Fi
     _check_unique_ids(rules)
     kept: list[QAPair] = []
     rejected: list[tuple[QAPair, str]] = []
-    count = 0
     for pair in pairs:
-        count += 1
         texts = (pair.question, pair.answer)
         hit = next((r.rule_id for r in rules for i in r.scanned if r.search(texts[i])), None)
         if hit is None:
             kept.append(pair)
         else:
             rejected.append((pair, hit))
-    return FilterReport(kept=kept, rejected=rejected, input_count=count)
+    return FilterReport(kept=kept, rejected=rejected)
 
 
 def load_rules(path: str | Path) -> list[FilterRule]:

@@ -118,12 +118,11 @@ def parse_qas(raw: str) -> list[QAPair]:
     return pairs
 
 
-def make_client(config: GeneratorConfig, clock: Clock | None = None) -> AssistantClient:
+def make_client(config: GeneratorConfig) -> AssistantClient:
     return AssistantClient(
         config.backend,
         cache_dir=config.cache_dir if config.cache_enabled else None,
         rate_limit_rpm=config.rate_limit_rpm,
-        clock=clock,
     )
 
 
@@ -140,10 +139,10 @@ def generate_for_caption(
     surviving pair becomes a record whose provenance carries the attempt
     index. After the last attempt the outcome may legitimately hold zero
     records (the caption is then uncovered). Backend failures propagate;
-    content problems never raise.
+    content problems never raise. ``clock`` only stamps ``created_at``.
     """
     clock = clock or SystemClock()
-    client = client or make_client(config, clock)
+    client = client or make_client(config)
     request = config.request(render(config.prompt, caption).rendered)
     for attempt in range(1, config.retry + 1):
         report = filter_artifacts(parse_qas(client.complete(request)), config.rules)
@@ -255,7 +254,8 @@ def generate_corpus(
     failure cancels the captions that have not started, writes those that
     finished or were running, in order, and then propagates, so the partial
     output stays resumable. Any other way out of a run, Ctrl-C included, also
-    starts no further caption.
+    starts no further caption. ``clock`` only stamps the records; a client
+    built here paces its rate limiter and backoff in real time.
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)
@@ -269,7 +269,7 @@ def generate_corpus(
     if len(todo) < len(captions):
         log.info("resume: %d of %d captions already covered", len(captions) - len(todo), len(captions))
 
-    client = client or make_client(config, clock)
+    client = client or make_client(config)
     covered_images = {r.image_id for r in existing}
     n_records = 0
     n_exhausted = 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from . import __version__ as _version
-from .corpus import as_kind, load_json
+from .corpus import as_kind, load_json, read_field
 from .errors import MissingFileError, SchemaViolationError
 
 _DISPLAY_NAMES = {
@@ -100,13 +100,13 @@ def load_report(path: str) -> Report:
     payload = load_json(path)
     try:
         return Report(
-            command=payload["command"],
+            command=read_field(payload, "command", path),
             inputs=as_kind(payload.get("inputs", {}), dict, path, "'inputs'"),
             metrics=as_kind(payload.get("metrics", {}), dict, path, "'metrics'"),
             started_at=datetime.fromisoformat(payload["started_at"]),
             finished_at=datetime.fromisoformat(payload["finished_at"]),
-            details=payload.get("details", {}),
-            tool_version=payload.get("tool_version", _version),
+            details=as_kind(payload.get("details", {}), dict, path, "'details'"),
+            tool_version=as_kind(payload.get("tool_version", _version), str, path, "'tool_version'"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolationError(f"{path}: not a cap2qa report ({type(exc).__name__}: {exc})") from exc

@@ -3,9 +3,11 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+import requests
 import yaml
 
 import cap2qa
@@ -118,6 +120,36 @@ class TestGenerate:
         assert main(args) == 0
         assert out.read_bytes() == expected
         assert json.loads(entry.read_text(encoding="utf-8")) == {"text": "Question: Q?\nAnswer: A."}
+
+    def test_fixed_clock_freezes_timestamps_but_backs_off_in_real_time(self, tmp_path, monkeypatch):
+        class Reply:
+            def __init__(self, status_code, text=""):
+                self.status_code = status_code
+                self.text = text
+
+            def json(self):
+                return {"choices": [{"message": {"content": self.text}}]}
+
+        replies = [Reply(503), Reply(200, "Question: What sits?\nAnswer: A cat.")]
+        sleeps = []
+        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: replies.pop(0))
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
+        out = tmp_path / "o.jsonl"
+        code = main(
+            [
+                "generate",
+                "--captions", str(captions),
+                "--out", str(out),
+                "--base-url", "http://127.0.0.1:9/v1",
+                "--fixed-clock", "2024-05-01T00:00:00+00:00",
+                "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 0
+        assert len(sleeps) == 1 and replies == []
+        (record,) = read_instructions(out)
+        assert record.provenance.created_at.isoformat() == "2024-05-01T00:00:00+00:00"
 
     def test_config_file_with_flag_override(self, tmp_path):
         entries = [(1, 10, "A cat sits.")]
@@ -563,8 +595,20 @@ class TestInputErrors:
             ["not", "a", "report"],
             {"command": "x", "started_at": "2024-05-01T00:00:00", "finished_at": "2024-05-01T00:00:00", "metrics": [1]},
             {"command": "x", "started_at": "2024-05-01T00:00:00", "finished_at": "2024-05-01T00:00:00", "inputs": ["a"]},
+            {"command": ["x"], "started_at": "2024-05-01T00:00:00", "finished_at": "2024-05-01T00:00:00"},
+            {"command": "x", "started_at": "2024-05-01T00:00:00", "finished_at": "2024-05-01T00:00:00", "tool_version": [1]},
+            {"command": "x", "started_at": "2024-05-01T00:00:00", "finished_at": "2024-05-01T00:00:00", "details": []},
         ],
-        ids=["missing-fields", "bad-timestamp", "not-an-object", "metrics-not-an-object", "inputs-not-an-object"],
+        ids=[
+            "missing-fields",
+            "bad-timestamp",
+            "not-an-object",
+            "metrics-not-an-object",
+            "inputs-not-an-object",
+            "command-not-a-string",
+            "tool-version-not-a-string",
+            "details-not-an-object",
+        ],
     )
     def test_bad_report_is_exit_1_in_one_line(self, tmp_path, caplog, payload):
         path = tmp_path / "report.json"
