@@ -37,7 +37,7 @@ from .corpus import (
     read_instructions,
     scan_jsonl_stats,
 )
-from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, SchemaViolationError
+from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, InputError
 from .eval_caption import CaptionEvalSet, CaptionItem, bleu, cider
 from .eval_hallucination import AnswerRecord, build_lexicon, chair_eval, default_lexicon
 from .eval_vqa import VqaItem, evaluate
@@ -94,7 +94,7 @@ def _clock(args: argparse.Namespace) -> Clock:
     try:
         return FixedClock(datetime.fromisoformat(args.fixed_clock))
     except ValueError as exc:
-        raise SchemaViolationError(f"--fixed-clock: {exc}") from exc
+        raise InputError(f"--fixed-clock: {exc}") from exc
 
 
 # --- generate -----------------------------------------------------------
@@ -106,10 +106,10 @@ def _settings(args: argparse.Namespace) -> dict:
     if args.config:
         file_config = load_yaml(args.config) or {}
         if not isinstance(file_config, dict):
-            raise SchemaViolationError(f"{args.config}: config must be a mapping")
+            raise InputError(f"{args.config}: config must be a mapping")
         for key in file_config:
             if key not in SETTINGS:
-                raise SchemaViolationError(f"{args.config}: unknown key {key!r} (known: {', '.join(SETTINGS)})")
+                raise InputError(f"{args.config}: unknown key {key!r} (known: {', '.join(SETTINGS)})")
             settings[key] = read_field(file_config, key, args.config, SETTINGS[key])
     for key, env_name in (("base_url", ENV_BASE_URL), ("model", ENV_MODEL)):
         if os.environ.get(env_name):
@@ -126,11 +126,11 @@ def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
     script, base_url = settings.pop("script", None), settings.pop("base_url", None)
     if backend_kind == "mock":
         if not script:
-            raise SchemaViolationError("mock backend requires --script")
+            raise InputError("mock backend requires --script")
         backend = BackendSpec(kind="mock", script=MockScript.from_file(script))
     else:
         if not base_url:
-            raise SchemaViolationError(f"http backend requires --base-url or {ENV_BASE_URL}")
+            raise InputError(f"http backend requires --base-url or {ENV_BASE_URL}")
         backend = BackendSpec(kind=backend_kind, base_url=base_url)
 
     # What is left are GeneratorConfig fields; three of them name files to read.
@@ -166,7 +166,7 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
     if args.categories:
         lexicon = build_lexicon(args.categories, args.synonyms)
     elif args.synonyms:
-        raise SchemaViolationError("--synonyms requires --categories")
+        raise InputError("--synonyms requires --categories")
     else:
         lexicon = default_lexicon()
 
@@ -175,7 +175,7 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
     for where, row in _read_jsonl(args.answers):
         image_id = read_field(row, IMAGE_KEYS, where, int)
         if image_id not in annotations:
-            raise SchemaViolationError(f"{where}: no object annotation for image_id {image_id} in {args.instances}")
+            raise InputError(f"{where}: no object annotation for image_id {image_id} in {args.instances}")
         answers.append(AnswerRecord(image_id=image_id, text=read_field(row, ("answer", "caption", "text"), where)))
 
     result = chair_eval(answers, annotations, lexicon)
@@ -210,14 +210,14 @@ def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str,
     for where, row in _read_jsonl(path):
         key = read_field(row, id_keys, where, kind)
         if key in refs:
-            raise SchemaViolationError(f"{where}: repeated id {key!r}")
+            raise InputError(f"{where}: repeated id {key!r}")
         value = read_field(row, value_keys, where, object)
         if type(value) is str:
             value = [value]
         elif type(value) is not list:
-            raise SchemaViolationError(f"{where}: references must be a string or a list")
+            raise InputError(f"{where}: references must be a string or a list")
         elif not value:
-            raise SchemaViolationError(f"{where}: references must be non-empty")
+            raise InputError(f"{where}: references must be non-empty")
         refs[key] = tuple(v if type(v) is str else as_kind(v, str, where, f"references[{j}]") for j, v in enumerate(value))
     return refs
 
@@ -234,11 +234,11 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
             n_ignored += 1
             continue
         if qid in items:
-            raise SchemaViolationError(f"{where}: repeated id {qid!r}")
+            raise InputError(f"{where}: repeated id {qid!r}")
         items[qid] = VqaItem(question_id=qid, prediction=prediction, references=references[qid])
     missing = references.keys() - items.keys()
     if missing:
-        raise SchemaViolationError(f"{args.pred}: no prediction for questions {sorted(missing)[:5]}")
+        raise InputError(f"{args.pred}: no prediction for questions {sorted(missing)[:5]}")
 
     strict = args.mode == "acc"
     result = evaluate(list(items.values()), strict=strict, raw=args.raw_match)
@@ -264,12 +264,12 @@ def _cmd_eval_caption(args: argparse.Namespace, clock: Clock) -> tuple:
         image_id = read_field(row, IMAGE_KEYS, where, int)
         candidate = read_field(row, ("caption", "prediction", "text"), where)
         if image_id not in references:
-            raise SchemaViolationError(f"{where}: no references for image_id {image_id} in {args.refs}")
+            raise InputError(f"{where}: no references for image_id {image_id} in {args.refs}")
         if image_id in items:
-            raise SchemaViolationError(f"{where}: repeated id {image_id}")
+            raise InputError(f"{where}: repeated id {image_id}")
         items[image_id] = CaptionItem(image_id=image_id, candidate=candidate, references=references[image_id])
     if not items:
-        raise SchemaViolationError(f"{args.pred}: no predictions to score")
+        raise InputError(f"{args.pred}: no predictions to score")
 
     # A reference image with no prediction is neither scored nor counted in CIDEr's document frequencies.
     ignored = [image_id for image_id in references if image_id not in items]

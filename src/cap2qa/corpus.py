@@ -5,9 +5,9 @@ instruction dataset as JSONL, one record per line with a fixed key order
 (``image_id``, ``question``, ``answer``, ``source_caption_ids``,
 ``provenance``) so files diff and hash cleanly.
 
-This module also owns the package's file readers (:func:`load_json`,
-:func:`iter_jsonl`, :func:`load_yaml`): every JSON, JSONL and YAML input goes
-through one of them, so a missing or malformed file is always the same
+This module also owns the file readers (:func:`load_json`, :func:`iter_jsonl`,
+:func:`load_yaml`, :func:`read_text`), which open every input through one
+opener, so a missing, unreadable or malformed file is always the same
 one-line input error. Every field of those inputs is then read through
 :func:`read_field`, so a missing or wrongly typed field is one too.
 """
@@ -16,21 +16,15 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import yaml
 
-from .errors import (
-    IoFailureError,
-    MalformedJsonError,
-    MalformedLineError,
-    MissingFileError,
-    SchemaViolationError,
-    UnknownCategoryIdError,
-)
+from .errors import InputError, RuntimeFailure
 
 # Field names that identify the image in evaluation and foreign QA JSONL.
 IMAGE_KEYS = ("image_id", "image", "img_id")
@@ -93,62 +87,81 @@ class DatasetStats:
     avg_question_words: float
 
 
-def load_json(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"no such file: {path}")
+@contextmanager
+def _open_input(path: str | Path, mode: str = "r") -> Iterator[IO]:
+    """Open an input file as UTF-8 text, or as bytes with ``mode="rb"``.
+
+    Every input file is opened here, so a path that is missing, a directory
+    or not UTF-8 is always one :class:`InputError` line that names it.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise InputError(f"no such file: {path}") from exc
+    except IsADirectoryError as exc:
+        raise InputError(f"{path}: is a directory, not a file") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 ({exc.reason})") from exc
+
+
+def _first_non_utf8_line(path: str | Path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8; read only after a decode failed."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0
+
+
+def load_json(path: str | Path) -> dict:
+    with _open_input(path) as fh:
+        try:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(path, exc.pos, exc.msg) from exc
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: {exc.msg} at offset {exc.pos}") from exc
     if not isinstance(data, dict):
-        raise SchemaViolationError(f"{path}: expected a JSON object at the top level")
+        raise InputError(f"{path}: expected a JSON object at the top level")
     return data
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
     """Yield ``("path:line", object)`` for each non-blank line of a JSONL file.
 
-    Every line must hold one JSON object; anything else raises
-    :class:`MalformedLineError` naming the line.
+    Every line must hold one JSON object; anything else is an
+    :class:`InputError` naming the line.
     """
-    if not Path(path).exists():
-        raise MissingFileError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, exc.msg) from exc
+                raise InputError(f"{path}:{line_no}: {exc.msg}") from exc
             if not isinstance(obj, dict):
-                raise MalformedLineError(path, line_no, "expected a JSON object")
+                raise InputError(f"{path}:{line_no}: expected a JSON object")
             yield f"{path}:{line_no}", obj
 
 
 def load_yaml(path: str | Path):
     """Parse a YAML file; a syntax error becomes a one-line input error."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
+        try:
             return yaml.safe_load(fh)
-    except FileNotFoundError as exc:
-        raise MissingFileError(f"no such file: {path}") from exc
-    except yaml.YAMLError as exc:
-        # PyYAML messages span several lines (context, snippet, caret).
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark else ""
-        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
-        raise SchemaViolationError(f"{path}: malformed YAML{where}: {problem}") from exc
+        except yaml.YAMLError as exc:
+            # PyYAML messages span several lines (context, snippet, caret).
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}" if mark else ""
+            problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+            raise InputError(f"{path}: malformed YAML{where}: {problem}") from exc
 
 
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 text file; a missing file is an input error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise MissingFileError(f"no such file: {path}") from exc
+    with _open_input(path) as fh:
+        return fh.read()
 
 
 # For each kind of field: the JSON types it may be converted from besides its
@@ -173,7 +186,7 @@ def as_kind(value, kind: type, where: str, name: str):
         except ValueError:
             pass
     shown = json.dumps(value, ensure_ascii=False, default=str)
-    raise SchemaViolationError(f"{where}: {name} must be {kind_name}, got {shown}")
+    raise InputError(f"{where}: {name} must be {kind_name}, got {shown}")
 
 
 def read_field(obj: dict, keys: str | tuple[str, ...], where: str, kind: type = str):
@@ -183,7 +196,7 @@ def read_field(obj: dict, keys: str | tuple[str, ...], where: str, kind: type = 
     A value that already has type ``kind`` is returned as is; otherwise a
     string or number is converted (``"12"`` is id 12, ``5`` is text ``"5"``)
     and anything else (``null``, a bool, a list, an object) is a
-    :class:`SchemaViolationError` naming the key. ``kind=object`` takes any
+    :class:`InputError` naming the key. ``kind=object`` takes any
     value as it is, for callers that check it themselves.
     """
     if type(keys) is str:
@@ -194,14 +207,14 @@ def read_field(obj: dict, keys: str | tuple[str, ...], where: str, kind: type = 
             if type(value) is kind or kind is object:
                 return value
             return as_kind(value, kind, where, repr(key))
-    raise SchemaViolationError(f"{where}: missing {' or '.join(map(repr, keys))}")
+    raise InputError(f"{where}: missing {' or '.join(map(repr, keys))}")
 
 
 def _objects(path: str | Path, entries: list, name: str) -> Iterator[tuple[str, dict]]:
     """Yield ``("path: name[i]", entry)`` for a JSON array that must hold objects only."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise SchemaViolationError(f"{path}: {name}[{i}] is not an object")
+            raise InputError(f"{path}: {name}[{i}] is not an object")
         yield f"{path}: {name}[{i}]", entry
 
 
@@ -214,7 +227,7 @@ def load_coco_captions(path: str | Path) -> list[CaptionRecord]:
     data = load_json(path)
     annotations = data.get("annotations")
     if not isinstance(annotations, list):
-        raise SchemaViolationError(f"{path}: missing top-level 'annotations' array")
+        raise InputError(f"{path}: missing top-level 'annotations' array")
 
     records: list[CaptionRecord] = []
     seen_ids: set[int] = set()
@@ -223,9 +236,9 @@ def load_coco_captions(path: str | Path) -> list[CaptionRecord]:
         image_id = read_field(entry, "image_id", where, int)
         text = read_field(entry, "caption", where)
         if not text.strip():
-            raise SchemaViolationError(f"{where}: empty caption")
+            raise InputError(f"{where}: empty caption")
         if caption_id in seen_ids:
-            raise SchemaViolationError(f"{where}: reuses caption id {caption_id}")
+            raise InputError(f"{where}: reuses caption id {caption_id}")
         seen_ids.add(caption_id)
         records.append(CaptionRecord(caption_id=caption_id, image_id=image_id, text=text))
     return records
@@ -246,11 +259,11 @@ def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str
     annotations = data.get("annotations")
     images = data.get("images", [])
     if not isinstance(categories, list) or not isinstance(annotations, list):
-        raise SchemaViolationError(
+        raise InputError(
             f"{instances_path}: expected top-level 'categories' and 'annotations' arrays"
         )
     if not isinstance(images, list):
-        raise SchemaViolationError(f"{instances_path}: expected 'images' to be an array")
+        raise InputError(f"{instances_path}: expected 'images' to be an array")
 
     id_to_name: dict[int, str] = {}
     for where, cat in _objects(instances_path, categories, "categories"):
@@ -262,7 +275,7 @@ def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str
     for where, ann in _objects(instances_path, annotations, "annotations"):
         category_id = read_field(ann, "category_id", where, int)
         if category_id not in id_to_name:
-            raise UnknownCategoryIdError(f"{where}: unknown category_id {category_id}")
+            raise InputError(f"{where}: unknown category_id {category_id}")
         found = positives.setdefault(read_field(ann, "image_id", where, int), set())
         name = id_to_name[category_id]
         if name in vocab_set:
@@ -319,7 +332,7 @@ def _record_from_dict(obj: dict, where: str) -> InstructionRecord:
     try:
         created_at = datetime.fromisoformat(read_field(prov, "created_at", in_prov))
     except ValueError as exc:
-        raise SchemaViolationError(f"{in_prov}: bad 'created_at' ({exc})") from exc
+        raise InputError(f"{in_prov}: bad 'created_at' ({exc})") from exc
     if created_at.tzinfo is None:
         created_at = created_at.replace(tzinfo=timezone.utc)
     record = InstructionRecord(
@@ -337,7 +350,7 @@ def _record_from_dict(obj: dict, where: str) -> InstructionRecord:
         ),
     )
     if not record.question.strip() or not record.answer.strip():
-        raise SchemaViolationError(f"{where}: question and answer must be non-empty")
+        raise InputError(f"{where}: question and answer must be non-empty")
     return record
 
 
@@ -351,7 +364,7 @@ def write_instructions(path: str | Path, records: Iterable[InstructionRecord]) -
                 fh.write(record_to_line(record) + "\n")
                 count += 1
     except OSError as exc:
-        raise IoFailureError(f"cannot write {path}: {exc}") from exc
+        raise RuntimeFailure(f"cannot write {path}: {exc}") from exc
     return count
 
 
@@ -406,5 +419,5 @@ def _lenient_image(obj: dict, where: str):
     image = obj[key]
     if type(image) in (list, dict):
         shown = json.dumps(image, ensure_ascii=False)
-        raise SchemaViolationError(f"{where}: {key!r} must not be a list or an object, got {shown}")
+        raise InputError(f"{where}: {key!r} must not be a list or an object, got {shown}")
     return image

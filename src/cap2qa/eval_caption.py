@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptyCorpusError
+from .errors import InputError
 from .porter import stem
 
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -69,7 +69,7 @@ def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
     scores exactly 0 for that order and above; no smoothing is applied.
     """
     if not eval_set.items:
-        raise EmptyCorpusError("BLEU needs at least one item")
+        raise InputError("BLEU needs at least one item")
 
     correct = [0] * max_n
     guess = [0] * max_n
@@ -129,7 +129,7 @@ def _tfidf(counts: Counter, idf: dict, log_corpus_size: float, max_n: int) -> tu
 
 def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: int = NGRAM_ORDERS) -> list[float]:
     if not eval_set.items:
-        raise EmptyCorpusError("CIDEr needs at least one item")
+        raise InputError("CIDEr needs at least one item")
     if len(eval_set.items) == 1:
         warnings.warn("CIDEr over a single item: document frequency degenerates and the score is 0", stacklevel=2)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import ObjectAnnotation, read_text
-from .errors import DuplicateSurfaceFormError, MissingAnnotationError, UnknownCategoryError
+from .errors import InputError
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -34,21 +34,21 @@ def _surface_map(categories: list[tuple[str, str]], forms: list[tuple[str, str, 
     seen = set()
     for where, category in categories:
         if category != category.lower() or not category.strip():
-            raise ValueError(f"{where}category names must be lowercase and non-empty: {category!r}")
+            raise InputError(f"{where}category names must be lowercase and non-empty: {category!r}")
         if category in seen:
-            raise ValueError(f"{where}duplicate category: {category!r}")
+            raise InputError(f"{where}duplicate category: {category!r}")
         seen.add(category)
     surface_map: dict[tuple, str] = {}
     for where, category, form in [(where, c, c) for where, c in categories] + forms:
         if category not in seen:
-            raise UnknownCategoryError(f"{where}synonyms reference unknown category: {category!r}")
+            raise InputError(f"{where}synonyms reference unknown category: {category!r}")
         tokens = tuple(_tokenize(form))
         if not tokens:
-            raise ValueError(f"{where}empty surface form for category {category!r}")
+            raise InputError(f"{where}empty surface form for category {category!r}")
         owner = surface_map.setdefault(tokens, category)
         if owner != category:
             shown = " ".join(tokens)
-            raise DuplicateSurfaceFormError(f"{where}surface form {shown!r} maps to both {owner!r} and {category!r}")
+            raise InputError(f"{where}surface form {shown!r} maps to both {owner!r} and {category!r}")
     return surface_map
 
 
@@ -195,7 +195,7 @@ def chair_eval(
     for answer in answers:
         annotation = annotations.get(answer.image_id)
         if annotation is None:
-            raise MissingAnnotationError(answer.image_id)
+            raise InputError(f"no object annotation for image_id {answer.image_id}")
         mentioned = extract_objects(answer.text, lexicon)
         hallucinated = mentioned & annotation.negative_categories
         true_positives = mentioned & annotation.positive_categories

@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DuplicateQuestionIdError
+from .errors import InputError
 
 MATCH_CAP = 3
 _ARTICLES = frozenset({"a", "an", "the"})
@@ -126,7 +126,7 @@ def evaluate(items: list[VqaItem], *, strict: bool = False, raw: bool = False) -
     total = 0
     for item in items:
         if item.question_id in seen:
-            raise DuplicateQuestionIdError(item.question_id)
+            raise InputError(f"repeated id {item.question_id!r}")
         seen.add(item.question_id)
         matched = _match_count(item.prediction, item.references, strict, forms)
         total += matched

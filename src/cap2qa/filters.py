@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .corpus import QAPair, _objects, load_yaml, read_field
-from .errors import SchemaViolationError
+from .errors import InputError
 
 # For each scope, the fields it scans as indices into (question, answer).
 _SCANNED = {"question": (0,), "answer": (1,), "either": (0, 1)}
@@ -124,7 +124,7 @@ def load_rules(path: str | Path) -> list[FilterRule]:
     """Read a YAML rule file: a top-level ``rules`` list of rule mappings."""
     doc = load_yaml(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
-        raise SchemaViolationError(f"{path}: expected a top-level 'rules' list")
+        raise InputError(f"{path}: expected a top-level 'rules' list")
     rules: list[FilterRule] = []
     for where, entry in _objects(path, doc["rules"], "rules"):
         fields = {key: read_field(entry, key, where) for key in ("rule_id", "scope", "pattern")}
@@ -133,9 +133,9 @@ def load_rules(path: str | Path) -> list[FilterRule]:
         try:
             rules.append(FilterRule(**fields))
         except ValueError as exc:
-            raise SchemaViolationError(f"{where}: {exc}") from exc
+            raise InputError(f"{where}: {exc}") from exc
     try:
         _check_unique_ids(rules)
     except ValueError as exc:
-        raise SchemaViolationError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
     return rules

@@ -37,7 +37,7 @@ from .corpus import (
     read_instructions,
     record_to_line,
 )
-from .errors import Cap2qaError, IoFailureError
+from .errors import Cap2qaError, RuntimeFailure
 from .filters import FilterRule, default_rules, filter_artifacts
 from .llm_client import AssistantClient, AssistantRequest, BackendSpec
 from .promptkit import PromptConfig, default_prompt_config, render
@@ -191,7 +191,7 @@ def _drop_torn_tail(path: Path) -> None:
     try:
         fh = open(path, "rb+")
     except OSError as exc:
-        raise IoFailureError(f"cannot open {path}: {exc}") from exc
+        raise RuntimeFailure(f"cannot open {path}: {exc}") from exc
     with fh:
         fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
         if fh.read(1) in (b"", b"\n"):
@@ -278,7 +278,7 @@ def generate_corpus(
     try:
         out = open(out_path, "a" if existing else "w", encoding="utf-8")
     except OSError as exc:
-        raise IoFailureError(f"cannot open {out_path}: {exc}") from exc
+        raise RuntimeFailure(f"cannot open {out_path}: {exc}") from exc
 
     with out:
         with ExitStack() as stack:

@@ -27,12 +27,7 @@ import requests
 
 from .clocks import Clock, SystemClock
 from .corpus import iter_jsonl, read_field
-from .errors import (
-    AuthFailureError,
-    BackendUnavailableError,
-    ResponseEmptyError,
-    ScriptExhaustedError,
-)
+from .errors import InputError, RuntimeFailure, ScriptExhaustedError
 
 API_KEY_ENV = "CAP2QA_API_KEY"
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -94,10 +89,12 @@ class MockScript:
         by_hash: dict[str, str] = {}
         for where, obj in iter_jsonl(path):
             text = read_field(obj, "response_text", where)
-            if obj.get("prompt_hash"):
-                by_hash[read_field(obj, "prompt_hash", where)] = text
-            else:
+            if "prompt_hash" not in obj:
                 responses.append(text)
+            elif key := read_field(obj, "prompt_hash", where):
+                by_hash[key] = text
+            else:
+                raise InputError(f"{where}: 'prompt_hash' must be non-empty")
         return cls(responses, by_hash)
 
     def next_for(self, prompt_text: str) -> str:
@@ -231,7 +228,7 @@ class AssistantClient:
         else:
             text = self._complete_http(request)
         if not text:
-            raise ResponseEmptyError("backend returned an empty response")
+            raise RuntimeFailure("backend returned an empty response")
 
         if key is not None:
             self.cache.put(key, text)
@@ -261,15 +258,15 @@ class AssistantClient:
             else:
                 status = response.status_code
                 if status in (401, 403):
-                    raise AuthFailureError(f"{url} rejected credentials (HTTP {status})")
+                    raise RuntimeFailure(f"{url} rejected credentials (HTTP {status})")
                 if status == 200:
                     return self._extract_text(response, url)
                 if status not in RETRYABLE_STATUS:
-                    raise BackendUnavailableError(f"{url} returned HTTP {status}")
+                    raise RuntimeFailure(f"{url} returned HTTP {status}")
                 last_problem = f"HTTP {status}"
             if attempt < self.retry.max_attempts:
                 self.clock.sleep(self.retry.delay(attempt, self._rng))
-        raise BackendUnavailableError(
+        raise RuntimeFailure(
             f"{url} unavailable after {self.retry.max_attempts} attempts ({last_problem})"
         )
 
@@ -279,4 +276,4 @@ class AssistantClient:
             body = response.json()
             return body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendUnavailableError(f"{url} returned an unexpected body ({exc})") from exc
+            raise RuntimeFailure(f"{url} returned an unexpected body ({exc})") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import CaptionRecord, as_kind, load_yaml, read_field
-from .errors import EmptyCaptionError, SchemaViolationError
+from .errors import InputError
 
 DEFAULT_BOTTOM_RULES = (
     "Any content should be included by the given context.",
@@ -87,7 +87,7 @@ def render(config: PromptConfig, caption: CaptionRecord) -> PromptBundle:
     block, conditions block, then the caption under a ``Caption:`` line.
     """
     if not caption.text.strip():
-        raise EmptyCaptionError(f"caption {caption.caption_id} is empty")
+        raise InputError(f"caption {caption.caption_id} is empty")
     lines: list[str] = ["Rules:"]
     lines.extend(f"- {rule}" for rule in config.bottom_rules)
     lines.append("")
@@ -107,7 +107,7 @@ def load_prompt_config(path: str | Path) -> PromptConfig:
     path = Path(path)
     doc = load_yaml(path)
     if not isinstance(doc, dict):
-        raise SchemaViolationError(f"{path}: prompt config must be a mapping")
+        raise InputError(f"{path}: prompt config must be a mapping")
 
     def strings(key: str) -> list[str]:
         return [as_kind(v, str, path, f"{key}[{j}]") for j, v in enumerate(read_field(doc, key, path, list))]
@@ -118,4 +118,4 @@ def load_prompt_config(path: str | Path) -> PromptConfig:
             strings("bottom_rules"), read_field(doc, "task_description", path), strings("conditions"), label=label
         )
     except ValueError as exc:
-        raise SchemaViolationError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc

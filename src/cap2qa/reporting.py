@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from . import __version__ as _version
-from .corpus import as_kind, load_json, read_field
-from .errors import MissingFileError, SchemaViolationError
+from .corpus import _open_input, as_kind, load_json, read_field
+from .errors import InputError
 
 _DISPLAY_NAMES = {
     "chair_s": "CHAIR_s",
@@ -33,12 +33,9 @@ _DISPLAY_NAMES = {
 
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-    except FileNotFoundError as exc:
-        raise MissingFileError(path) from exc
+    with _open_input(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -109,4 +106,4 @@ def load_report(path: str) -> Report:
             tool_version=as_kind(payload.get("tool_version", _version), str, path, "'tool_version'"),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolationError(f"{path}: not a cap2qa report ({type(exc).__name__}: {exc})") from exc
+        raise InputError(f"{path}: not a cap2qa report ({type(exc).__name__}: {exc})") from exc

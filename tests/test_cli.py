@@ -738,3 +738,68 @@ def test_bad_rule_or_prompt_field_is_exit_1_naming_file_and_key(tmp_path, caplog
     assert len(lines) == 1
     assert lines[0].startswith(f"{path}: ")
     assert f"'{key}' must be" in lines[0] or f"{key}[0] must be" in lines[0]
+
+
+# --- unreadable input files: exit 1 with one line naming the path ----------
+
+# Every flag that names an input file, by command.
+INPUT_FLAGS = [
+    ("generate", "--captions"),
+    ("generate", "--script"),
+    ("generate", "--config"),
+    ("generate", "--rules"),
+    ("generate", "--prompt"),
+    ("eval-chair", "--answers"),
+    ("eval-chair", "--instances"),
+    ("eval-chair", "--categories"),
+    ("eval-chair", "--synonyms"),
+    ("eval-vqa", "--pred"),
+    ("eval-vqa", "--gt"),
+    ("eval-caption", "--pred"),
+    ("eval-caption", "--refs"),
+    ("stats", "--dataset"),
+    ("report", "--in"),
+]
+
+
+def argv_naming(tmp_path, command, flag, path):
+    """A valid run of ``command`` whose ``flag`` names ``path``, added when the run does not use the flag."""
+    argv = write_field_inputs(tmp_path, command) if command in FIELD_COMMANDS else [command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(path)
+    else:
+        argv += [flag, str(path)]
+    if flag == "--synonyms":
+        cats = tmp_path / "cats.txt"
+        cats.write_text("cat\n", encoding="utf-8")
+        argv += ["--categories", str(cats)]
+    return argv
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("command, flag", INPUT_FLAGS)
+    def test_directory_is_exit_1_naming_it(self, tmp_path, caplog, command, flag):
+        path = tmp_path / "a-directory"
+        path.mkdir()
+        code, lines = run_main(caplog, *argv_naming(tmp_path, command, flag, path))
+        assert (code, lines) == (1, [f"{path}: is a directory, not a file"])
+
+    @pytest.mark.parametrize("command, flag", INPUT_FLAGS)
+    def test_non_utf8_file_is_exit_1_naming_file_and_line(self, tmp_path, caplog, command, flag):
+        path = tmp_path / "latin-1.txt"
+        path.write_bytes(b"\ncaf\xe9\n")
+        code, lines = run_main(caplog, *argv_naming(tmp_path, command, flag, path))
+        assert (code, lines) == (1, [f"{path}:2: not UTF-8 (invalid continuation byte)"])
+
+    def test_directory_as_out_is_exit_2(self, tmp_path, caplog):
+        argv = write_field_inputs(tmp_path, "generate")
+        out = Path(argv[argv.index("--out") + 1])
+        out.mkdir()
+        code, lines = run_main(caplog, *argv)
+        assert code == 2 and lines[-1].startswith(f"cannot open {out}: ")
+
+    def test_file_as_cache_dir_is_exit_2(self, tmp_path, caplog):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        code, _ = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--cache-dir", blocker)
+        assert code == 2

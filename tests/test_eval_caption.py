@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cap2qa.errors import EmptyCorpusError
+from cap2qa.errors import InputError
 from cap2qa.eval_caption import (
     CaptionEvalSet,
     CaptionItem,
@@ -92,7 +92,7 @@ class TestBleu:
         assert scores[3] == 0.0
 
     def test_empty_corpus_raises(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InputError, match="^BLEU needs at least one item$"):
             bleu(CaptionEvalSet([]))
 
     def test_empty_references_rejected(self):
@@ -218,7 +218,7 @@ class TestCider:
             cider_per_item(corpus(("a cat", ["a cat"])))
 
     def test_empty_corpus_raises(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InputError, match="^CIDEr needs at least one item$"):
             cider(CaptionEvalSet([]))
 
 

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 import cap2qa
 from cap2qa.corpus import ObjectAnnotation
-from cap2qa.errors import (
-    DuplicateSurfaceFormError,
-    MissingAnnotationError,
-    UnknownCategoryError,
-)
+from cap2qa.errors import InputError
 from cap2qa.eval_hallucination import (
     AnswerRecord,
     Lexicon,
@@ -50,22 +46,22 @@ class TestLexicon:
         assert lexicon.category_of("table") == "dining table"
 
     def test_duplicate_surface_form_rejected(self):
-        with pytest.raises(DuplicateSurfaceFormError):
+        with pytest.raises(InputError, match="^surface form 'pet' maps to both 'cat' and 'dog'$"):
             Lexicon(
                 categories=("cat", "dog"),
                 synonyms={"cat": frozenset({"pet"}), "dog": frozenset({"pet"})},
             )
 
     def test_synonym_for_unknown_category_rejected(self):
-        with pytest.raises(UnknownCategoryError):
+        with pytest.raises(InputError, match="^synonyms reference unknown category: 'horse'$"):
             Lexicon(categories=("cat",), synonyms={"horse": frozenset({"pony"})})
 
     def test_uppercase_category_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^category names must be lowercase and non-empty: 'Cat'$"):
             Lexicon(categories=("Cat",))
 
     def test_duplicate_category_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^duplicate category: 'cat'$"):
             Lexicon(categories=("cat", "cat"))
 
 
@@ -196,7 +192,7 @@ class TestChairEval:
         assert entry.true_positives == {"cat"}
 
     def test_missing_annotation_raises(self, lexicon):
-        with pytest.raises(MissingAnnotationError):
+        with pytest.raises(InputError, match="^no object annotation for image_id 99$"):
             chair_eval([AnswerRecord(99, "cat")], self.annotations(), lexicon)
 
     def test_empty_input_all_zero(self, lexicon):

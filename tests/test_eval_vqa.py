@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cap2qa import eval_vqa
-from cap2qa.errors import DuplicateQuestionIdError
+from cap2qa.errors import InputError
 from cap2qa.eval_vqa import VqaItem, acc_score, evaluate, normalize, pacc_score
 
 
@@ -82,7 +82,7 @@ class TestEvaluate:
 
     def test_duplicate_question_id(self):
         items = [VqaItem("q", "a", ("a",)), VqaItem("q", "b", ("b",))]
-        with pytest.raises(DuplicateQuestionIdError):
+        with pytest.raises(InputError, match="^repeated id 'q'$"):
             evaluate(items)
 
     def test_empty_batch(self):

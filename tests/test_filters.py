@@ -5,7 +5,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cap2qa.errors import SchemaViolationError
+from cap2qa.errors import InputError
 from cap2qa.filters import (
     FilterRule,
     default_rules,
@@ -169,5 +169,5 @@ class TestYamlRoundTrip:
     def test_missing_rules_key(self, tmp_path):
         path = tmp_path / "rules.yaml"
         path.write_text("nope: []\n", encoding="utf-8")
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(InputError, match=r"rules\.yaml: expected a top-level 'rules' list$"):
             load_rules(path)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cap2qa import generator
 from cap2qa.clocks import FixedClock
 from cap2qa.corpus import CaptionRecord, read_instructions
-from cap2qa.errors import InputError, MalformedLineError, ScriptExhaustedError
+from cap2qa.errors import InputError, ScriptExhaustedError
 from cap2qa.generator import (
     GeneratorConfig,
     QAPair,
@@ -463,7 +463,7 @@ class TestTornTail:
         captions, cfg, full = self.full_run(tmp_path, 3)
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(full[:-40] + b"\n")
-        with pytest.raises(MalformedLineError, match=r"torn\.jsonl:3: Invalid control character"):
+        with pytest.raises(InputError, match=r"torn\.jsonl:3: Invalid control character"):
             generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full[:-40] + b"\n"
 

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cap2qa.clocks import FixedClock
-from cap2qa.errors import (
-    AuthFailureError,
-    BackendUnavailableError,
-    ResponseEmptyError,
-    ScriptExhaustedError,
-    SchemaViolationError,
-)
+from cap2qa.errors import InputError, RuntimeFailure, ScriptExhaustedError
 from cap2qa.llm_client import (
     API_KEY_ENV,
     AssistantClient,
@@ -139,9 +133,21 @@ class TestMockScript:
         assert script.next_for("p") == "keyed"
         assert script.next_for("x") == "plain"
 
+    @pytest.mark.parametrize("value, message", [
+        (None, "must be a string, got null"),
+        (False, "must be a string, got false"),
+        ([], "must be a string, got []"),
+        ("", "must be non-empty"),
+    ])
+    def test_from_file_rejects_a_prompt_hash_that_is_not_a_hash(self, tmp_path, value, message):
+        path = write_jsonl(tmp_path / "s.jsonl", [{"response_text": "plain"}, {"response_text": "x", "prompt_hash": value}])
+        with pytest.raises(InputError) as info:
+            MockScript.from_file(path)
+        assert str(info.value) == f"{path}:2: 'prompt_hash' {message}"
+
     def test_from_file_missing_field(self, tmp_path):
         path = write_jsonl(tmp_path / "s.jsonl", [{"text": "no"}])
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(InputError, match=r"s\.jsonl:1: missing 'response_text'$"):
             MockScript.from_file(path)
 
 
@@ -152,7 +158,7 @@ class TestComplete:
 
     def test_empty_response_rejected(self):
         client = AssistantClient(mock_backend(""), clock=FixedClock(NOW))
-        with pytest.raises(ResponseEmptyError):
+        with pytest.raises(RuntimeFailure, match="^backend returned an empty response$"):
             client.complete(request())
 
     def test_cache_round_trip(self, tmp_path):
@@ -220,26 +226,26 @@ class TestHttp:
         client, session = http_client(
             [FakeResponse(503)] * 3, retry=RetryPolicy(max_attempts=3)
         )
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(RuntimeFailure, match=r"unavailable after 3 attempts \(HTTP 503\)$"):
             client.complete(request())
         assert len(session.calls) == 3
 
     def test_auth_failure_not_retried(self):
         client, session = http_client([FakeResponse(401)])
-        with pytest.raises(AuthFailureError):
+        with pytest.raises(RuntimeFailure, match=r"rejected credentials \(HTTP 401\)$"):
             client.complete(request())
         assert len(session.calls) == 1
         assert client.clock.sleeps == []
 
     def test_non_retryable_status_fails_fast(self):
         client, session = http_client([FakeResponse(404)])
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(RuntimeFailure, match="returned HTTP 404$"):
             client.complete(request())
         assert len(session.calls) == 1
 
     def test_malformed_body(self):
         client, _ = http_client([FakeResponse(200, {"unexpected": True})])
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(RuntimeFailure, match="returned an unexpected body"):
             client.complete(request())
 
 

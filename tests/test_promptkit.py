@@ -2,7 +2,7 @@ import pytest
 import yaml
 
 from cap2qa.corpus import CaptionRecord
-from cap2qa.errors import EmptyCaptionError, SchemaViolationError
+from cap2qa.errors import InputError
 from cap2qa.promptkit import (
     DEFAULT_BOTTOM_RULES,
     DEFAULT_CONDITIONS,
@@ -47,7 +47,7 @@ class TestRender:
         assert a.rendered != b.rendered
 
     def test_empty_caption_rejected(self):
-        with pytest.raises(EmptyCaptionError):
+        with pytest.raises(InputError, match=r"^caption \d+ is empty$"):
             render(default_prompt_config(), caption("   "))
 
 
@@ -84,7 +84,7 @@ class TestYamlRoundTrip:
     def test_malformed_yaml_rejected(self, tmp_path):
         path = tmp_path / "prompt.yaml"
         path.write_text("just a string", encoding="utf-8")
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(InputError, match=r"prompt\.yaml: prompt config must be a mapping$"):
             load_prompt_config(path)
 
     def test_number_is_read_as_text_and_label_defaults_to_file_stem(self, tmp_path):
@@ -95,5 +95,5 @@ class TestYamlRoundTrip:
     def test_missing_part_rejected(self, tmp_path):
         path = tmp_path / "prompt.yaml"
         path.write_text("bottom_rules: [a]\nconditions: [b]\n", encoding="utf-8")
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(InputError, match=r"prompt\.yaml: missing 'task_description'$"):
             load_prompt_config(path)

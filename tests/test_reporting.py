@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from cap2qa.errors import MissingFileError
+from cap2qa.errors import InputError
 from cap2qa.reporting import Report, load_report, report_render, sha256_file
 
 T0 = datetime(2024, 5, 1, 10, 0, tzinfo=timezone.utc)
@@ -30,8 +30,10 @@ def test_sha256_file_matches_hashlib(tmp_path):
 
 
 def test_sha256_missing_file(tmp_path):
-    with pytest.raises(MissingFileError):
-        sha256_file(tmp_path / "absent")
+    path = tmp_path / "absent"
+    with pytest.raises(InputError) as info:
+        sha256_file(path)
+    assert str(info.value) == f"no such file: {path}"
 
 
 def test_json_render_is_canonical():
@@ -65,5 +67,5 @@ def test_load_round_trip(tmp_path):
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(MissingFileError):
+    with pytest.raises(InputError, match=r"^no such file: .*absent\.json$"):
         load_report(tmp_path / "absent.json")
