@@ -37,7 +37,7 @@ from .corpus import (
     read_instructions,
     scan_jsonl_stats,
 )
-from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, InputError
+from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, InputError, RuntimeFailure
 from .eval_caption import CaptionEvalSet, CaptionItem, bleu, cider
 from .eval_hallucination import AnswerRecord, build_lexicon, chair_eval, default_lexicon
 from .eval_vqa import VqaItem, evaluate
@@ -85,6 +85,15 @@ def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths
         log.info("report written to %s", args.report)
     else:
         sys.stdout.write(rendered)
+
+
+def _check_report_path(path: str) -> None:
+    """Fail before the command runs when ``--report`` cannot be a file."""
+    target = Path(path)
+    if target.is_dir():
+        raise RuntimeFailure(f"--report {path}: is a directory")
+    if not target.parent.is_dir():
+        raise RuntimeFailure(f"--report {path}: no such directory {target.parent}")
 
 
 def _clock(args: argparse.Namespace) -> Clock:
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cap2qa", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"cap2qa {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging on stderr")
-    parser.set_defaults(fixed_clock=None)
+    parser.set_defaults(fixed_clock=None, report=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="build an instruction corpus from captions")
@@ -393,6 +402,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         clock = _clock(args)
+        if args.report:
+            _check_report_path(args.report)
         started = clock.now()
         # A command returns its report's (input paths, metrics, details); ``report`` returns None.
         result = args.func(args, clock)

@@ -3,7 +3,8 @@
 Input side: official COCO caption and instance JSON files. Output side: the
 instruction dataset as JSONL, one record per line with a fixed key order
 (``image_id``, ``question``, ``answer``, ``source_caption_ids``,
-``provenance``) so files diff and hash cleanly.
+``provenance``) so files diff and hash cleanly. Resume cuts a run's torn
+last line with :func:`drop_torn_tail`.
 
 This module also owns the file readers (:func:`load_json`, :func:`iter_jsonl`,
 :func:`load_yaml`, :func:`read_text`), which open every input through one
@@ -15,7 +16,8 @@ one-line input error. Every field of those inputs is then read through
 from __future__ import annotations
 
 import json
-import re
+import logging
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -25,6 +27,8 @@ from typing import IO, Iterable, Iterator
 import yaml
 
 from .errors import InputError, RuntimeFailure
+
+log = logging.getLogger(__name__)
 
 # Field names that identify the image in evaluation and foreign QA JSONL.
 IMAGE_KEYS = ("image_id", "image", "img_id")
@@ -315,16 +319,6 @@ def record_to_line(record: InstructionRecord) -> str:
     return _ENCODER.encode(_record_to_dict(record))
 
 
-# How every line that record_to_line writes starts; the id is whole once its comma follows.
-_IMAGE_ID_PREFIX = re.compile(rb'\{"image_id": (\d+),')
-
-
-def image_id_of_prefix(line: bytes) -> int | None:
-    """The image id a line cut short still shows, or None when the cut came before its end."""
-    match = _IMAGE_ID_PREFIX.match(line)
-    return int(match[1]) if match else None
-
-
 def _record_from_dict(obj: dict, where: str) -> InstructionRecord:
     prov = read_field(obj, "provenance", where, dict)
     sources = read_field(obj, "source_caption_ids", where, list)
@@ -371,6 +365,47 @@ def write_instructions(path: str | Path, records: Iterable[InstructionRecord]) -
 def read_instructions(path: str | Path) -> list[InstructionRecord]:
     """Inverse of :func:`write_instructions`."""
     return [_record_from_dict(obj, where) for where, obj in iter_jsonl(path)]
+
+
+def drop_torn_tail(path: str | Path) -> None:
+    """Cut an unterminated last line, the trace of a run killed mid-write, off ``path``.
+
+    Resume counts a caption as covered once any of its lines survives, and a
+    torn line rarely shows its caption id, which follows the text. So the
+    group of complete lines just before it that share one
+    ``source_caption_ids`` goes too. That group is the start of the torn
+    line's caption or the whole caption before it, so resume regenerates the
+    torn caption whole, and at most one finished caption with it. A line
+    that is not a record ends a group, is never cut, and fails the resume
+    scan.
+    """
+    try:
+        fh = open(path, "rb+")
+    except OSError as exc:
+        raise RuntimeFailure(f"cannot open {path}: {exc}") from exc
+    with fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
+            return
+        fh.seek(0)
+        group_start = group_ids = None
+        group_lines = pos = 0
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            try:
+                ids = json.loads(line)["source_caption_ids"]
+            except (ValueError, TypeError, KeyError):
+                ids = None
+            if ids is None or ids != group_ids:
+                group_start, group_ids, group_lines = pos, ids, 0
+            group_lines += 1
+            pos += len(line)
+        if group_ids is None:
+            group_start, group_lines = pos, 0
+        fh.truncate(group_start)
+    whole_caption = f" and the {group_lines} line(s) of source_caption_ids {group_ids} before it" if group_lines else ""
+    log.warning("resume: dropped an unterminated last line of %s (%d bytes)%s", path, len(line), whole_caption)
 
 
 _NO_IMAGE = object()

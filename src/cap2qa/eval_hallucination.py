@@ -15,18 +15,12 @@ per corpus:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import ObjectAnnotation, read_text
 from .errors import InputError
-
-_TOKEN = re.compile(r"[a-z0-9]+")
-
-
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text.lower())
+from .eval_caption import tokenize
 
 
 def _surface_map(categories: list[tuple[str, str]], forms: list[tuple[str, str, str]]) -> dict[tuple, str]:
@@ -42,7 +36,7 @@ def _surface_map(categories: list[tuple[str, str]], forms: list[tuple[str, str, 
     for where, category, form in [(where, c, c) for where, c in categories] + forms:
         if category not in seen:
             raise InputError(f"{where}synonyms reference unknown category: {category!r}")
-        tokens = tuple(_tokenize(form))
+        tokens = tuple(tokenize(form))
         if not tokens:
             raise InputError(f"{where}empty surface form for category {category!r}")
         owner = surface_map.setdefault(tokens, category)
@@ -85,7 +79,7 @@ class Lexicon:
         object.__setattr__(self, "widths", {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()})
 
     def category_of(self, surface: str) -> str | None:
-        return self.surface_to_category.get(tuple(_tokenize(surface)))
+        return self.surface_to_category.get(tuple(tokenize(surface)))
 
 
 def extract_objects(text: str, lexicon: Lexicon) -> frozenset:
@@ -95,7 +89,7 @@ def extract_objects(text: str, lexicon: Lexicon) -> frozenset:
     match consumes its tokens. The last token of a form also matches with
     "s" or "es" appended (naive plurals).
     """
-    tokens = _tokenize(text)
+    tokens = tokenize(text)
     folded, widths = lexicon.folded, lexicon.widths
     found = set()
     i = 0

@@ -91,7 +91,10 @@ def default_rules() -> list[FilterRule]:
     ]
 
 
-def _check_unique_ids(rules: Sequence[FilterRule]) -> None:
+def check_rules(rules: Sequence[FilterRule]) -> None:
+    """Raise ValueError unless ``rules`` is non-empty with distinct rule ids."""
+    if not rules:
+        raise ValueError("rules must be non-empty")
     seen: set[str] = set()
     for rule in rules:
         if rule.rule_id in seen:
@@ -105,9 +108,7 @@ def filter_artifacts(pairs: Iterable[QAPair], rules: Sequence[FilterRule]) -> Fi
     A pair is rejected iff at least one rule matches its scoped fields; the
     first matching rule (in rule order) is recorded against it.
     """
-    if not rules:
-        raise ValueError("rules must be non-empty")
-    _check_unique_ids(rules)
+    check_rules(rules)
     kept: list[QAPair] = []
     rejected: list[tuple[QAPair, str]] = []
     for pair in pairs:
@@ -135,7 +136,7 @@ def load_rules(path: str | Path) -> list[FilterRule]:
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from exc
     try:
-        _check_unique_ids(rules)
+        check_rules(rules)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return rules

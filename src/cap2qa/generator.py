@@ -17,9 +17,7 @@ output.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import re
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -33,12 +31,12 @@ from .corpus import (
     InstructionRecord,
     Provenance,
     QAPair,
-    image_id_of_prefix,
+    drop_torn_tail,
     read_instructions,
     record_to_line,
 )
 from .errors import Cap2qaError, RuntimeFailure
-from .filters import FilterRule, default_rules, filter_artifacts
+from .filters import FilterRule, check_rules, default_rules, filter_artifacts
 from .llm_client import AssistantClient, AssistantRequest, BackendSpec
 from .promptkit import PromptConfig, default_prompt_config, render
 
@@ -68,6 +66,7 @@ class GeneratorConfig:
             raise ValueError("cache_enabled requires cache_dir")
         if self.rate_limit_rpm is not None and self.rate_limit_rpm < 1:
             raise ValueError(f"rate_limit_rpm must be >= 1, got {self.rate_limit_rpm}")
+        check_rules(self.rules)
         # AssistantRequest checks the sampling settings: fail before a run touches its output.
         self.request("-")
 
@@ -178,51 +177,6 @@ def _run_inline(fn, *args, **kwargs) -> Future:
     return future
 
 
-def _drop_torn_tail(path: Path) -> None:
-    """Cut an unterminated last line, the trace of a run killed mid-write, off ``path``.
-
-    Resume counts a caption as covered once any of its lines survives, so the
-    complete lines of the torn record's caption go too, and resume regenerates
-    that caption whole. The torn line can show its image id, which comes
-    first, but rarely its caption id, which follows the text: the last complete
-    caption is kept when the torn line names another image, and is otherwise
-    dropped, which at worst regenerates one finished caption.
-    """
-    try:
-        fh = open(path, "rb+")
-    except OSError as exc:
-        raise RuntimeFailure(f"cannot open {path}: {exc}") from exc
-    with fh:
-        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-        if fh.read(1) in (b"", b"\n"):
-            return
-        # One forward pass finds the group of complete lines that share one
-        # source_caption_ids and end where the torn line starts. A line that
-        # is not a record ends a group, is never cut, and fails the resume scan.
-        fh.seek(0)
-        group_start = group_ids = group_image = None
-        group_lines = pos = 0
-        for line in fh:
-            if not line.endswith(b"\n"):
-                break
-            try:
-                record = json.loads(line)
-                ids, image_id = record["source_caption_ids"], record["image_id"]
-            except (ValueError, TypeError, KeyError):
-                ids = image_id = None
-            if ids is None or ids != group_ids:
-                group_start, group_ids, group_lines = pos, ids, 0
-            group_image = image_id
-            group_lines += 1
-            pos += len(line)
-        torn, keep, n_lines = line, pos, 0
-        if group_ids is not None and image_id_of_prefix(torn) in (None, group_image):
-            keep, n_lines = group_start, group_lines
-        fh.truncate(keep)
-    whole_caption = f" and the {n_lines} line(s) of source_caption_ids {group_ids} before it" if n_lines else ""
-    log.warning("resume: dropped an unterminated last line of %s (%d bytes)%s", path, len(torn), whole_caption)
-
-
 # With more than one worker, a caption sleeping in retry backoff holds the
 # head of the reorder window while the other workers serve the captions
 # behind it, until the window is full. The default RetryPolicy sleeps up to
@@ -250,7 +204,7 @@ def generate_corpus(
     reorder window of 64 captions per worker. With ``resume`` (default),
     captions that already contributed records to the output file are skipped
     and new records are appended; an unterminated last line there is dropped
-    first, together with the lines of its caption before it. A backend
+    first, as :func:`~cap2qa.corpus.drop_torn_tail` says. A backend
     failure cancels the captions that have not started, writes those that
     finished or were running, in order, and then propagates, so the partial
     output stays resumable. Any other way out of a run, Ctrl-C included, also
@@ -262,7 +216,7 @@ def generate_corpus(
 
     existing: list[InstructionRecord] = []
     if resume and out_path.exists():
-        _drop_torn_tail(out_path)
+        drop_torn_tail(out_path)
         existing = read_instructions(out_path)
     covered_ids = {cid for record in existing for cid in record.source_caption_ids}
     todo = [c for c in captions if c.caption_id not in covered_ids]

@@ -129,7 +129,10 @@ class ResponseCache:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except FileExistsError as exc:
+            raise RuntimeFailure(f"cache directory {root}: must be a directory, not a file") from exc
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"

@@ -513,10 +513,13 @@ class TestInputErrors:
             ("--retry", "0", "retry must be >= 1"),
             ("--workers", "0", "workers must be >= 1"),
             ("--fixed-clock", "yesterday", "--fixed-clock: Invalid isoformat string: 'yesterday'"),
+            ("--rules", "{tmp}/empty-rules.yaml", "{tmp}/empty-rules.yaml: rules must be non-empty"),
         ],
-        ids=["temperature", "max-output-tokens", "rpm-zero", "rpm-negative", "retry", "workers", "fixed-clock"],
+        ids=["temperature", "max-output-tokens", "rpm-zero", "rpm-negative", "retry", "workers", "fixed-clock", "empty-rules"],
     )
     def test_bad_generate_setting_leaves_out_untouched(self, tmp_path, caplog, mock_generate, flag, value, message):
+        (tmp_path / "empty-rules.yaml").write_text("rules: []\n", encoding="utf-8")
+        value, message = value.format(tmp=tmp_path), message.format(tmp=tmp_path)
         assert main([str(a) for a in mock_generate]) == 0
         out = tmp_path / "o.jsonl"
         before = out.read_bytes()
@@ -798,8 +801,23 @@ class TestUnreadableInputs:
         code, lines = run_main(caplog, *argv)
         assert code == 2 and lines[-1].startswith(f"cannot open {out}: ")
 
+    # A --report that cannot be a file fails before the command starts: no
+    # backend call, and --out is never opened.
+    @pytest.mark.parametrize(
+        "report, problem",
+        [("a-directory", "is a directory"), ("missing/r.json", "no such directory {tmp}/missing")],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_report_is_exit_2_before_the_run(self, tmp_path, caplog, report, problem):
+        (tmp_path / "a-directory").mkdir()
+        argv = write_field_inputs(tmp_path, "generate")
+        out = Path(argv[argv.index("--out") + 1])
+        code, lines = run_main(caplog, *argv, "--report", tmp_path / report)
+        assert (code, lines) == (2, [f"--report {tmp_path / report}: {problem.format(tmp=tmp_path)}"])
+        assert not out.exists()
+
     def test_file_as_cache_dir_is_exit_2(self, tmp_path, caplog):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("", encoding="utf-8")
-        code, _ = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--cache-dir", blocker)
-        assert code == 2
+        code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--cache-dir", blocker)
+        assert (code, lines[-1]) == (2, f"cache directory {blocker}: must be a directory, not a file")

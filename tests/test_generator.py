@@ -12,6 +12,7 @@ from cap2qa import generator
 from cap2qa.clocks import FixedClock
 from cap2qa.corpus import CaptionRecord, read_instructions
 from cap2qa.errors import InputError, ScriptExhaustedError
+from cap2qa.filters import default_rules
 from cap2qa.generator import (
     GeneratorConfig,
     QAPair,
@@ -178,6 +179,15 @@ class TestGenerateForCaption:
     def test_retry_lower_bound(self):
         with pytest.raises(ValueError):
             config("x", retry=0)
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [([], "rules must be non-empty"), (default_rules()[:1] * 2, "duplicate rule_id 'mentions-caption'")],
+        ids=["empty", "repeated-id"],
+    )
+    def test_bad_rules_fail_when_the_config_is_built(self, rules, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config("x", rules=rules)
 
 
 class TestGenerateCorpus:
@@ -446,18 +456,23 @@ class TestTornTail:
         generate_corpus(captions, cfg, full, clock=FixedClock(NOW))
         return captions, cfg, full.read_bytes()
 
-    @pytest.mark.parametrize("n", [3, 1])
-    def test_resume_drops_an_unterminated_last_line(self, tmp_path, caplog, n):
+    # The torn line takes the caption before it along, when there is one.
+    @pytest.mark.parametrize(
+        "n, written, before",
+        [(3, 2, " and the 1 line(s) of source_caption_ids [1] before it"), (1, 1, "")],
+        ids=["3", "1"],
+    )
+    def test_resume_drops_an_unterminated_last_line(self, tmp_path, caplog, n, written, before):
         captions, cfg, full = self.full_run(tmp_path, n)
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(full[:-40])
         dropped = len(full.splitlines(keepends=True)[-1]) - 40
-        with caplog.at_level(logging.WARNING, logger="cap2qa.generator"):
+        with caplog.at_level(logging.WARNING, logger="cap2qa.corpus"):
             summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full
-        assert summary.n_records == 1
+        assert summary.n_records == written
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == [f"resume: dropped an unterminated last line of {torn} ({dropped} bytes)"]
+        assert warnings == [f"resume: dropped an unterminated last line of {torn} ({dropped} bytes){before}"]
 
     def test_malformed_terminated_line_is_still_an_error(self, tmp_path):
         captions, cfg, full = self.full_run(tmp_path, 3)
@@ -467,9 +482,9 @@ class TestTornTail:
             generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full[:-40] + b"\n"
 
-    # The line before the torn one ends in a newline but is not a record. The
-    # torn line shows no image id, which would drop a record before it; this
-    # line is kept, and the resume scan fails naming it (exit 1).
+    # The line before the torn one ends in a newline but is not a record. A
+    # record there would be cut with the torn line; this line is kept, and
+    # the resume scan fails naming it (exit 1).
     @pytest.mark.parametrize(
         "malformed, message",
         [(b'{"image_id": 101, "question": "Q1?\n', "Invalid control character"), (b'{"image_id": 101}\n', "missing 'provenance'")],
@@ -488,10 +503,10 @@ class TestTornTail:
     # 0 and 2 get two records each, caption 1 one; captions 0 and 1 show the
     # same image. Lines: 0 and 1 (caption 0), 2 (caption 1), 3 and 4
     # (caption 2). Parameters: torn line, bytes of it kept, records written on
-    # resume. Cut 30 bytes in, the torn line shows its image id; cut 5 bytes
-    # in, it does not, and the caption before it goes too, as it does when
-    # that caption shows the same image.
-    @pytest.mark.parametrize("line, kept, written", [(4, 30, 2), (3, 30, 2), (3, 5, 3), (2, 30, 5), (1, 30, 5)])
+    # resume. A torn first line of a caption takes the caption before it
+    # along, whether or not the torn line shows its image id (30 bytes in) or
+    # that image differs from the one before.
+    @pytest.mark.parametrize("line, kept, written", [(4, 30, 2), (3, 30, 3), (3, 5, 3), (2, 30, 5), (1, 30, 5)])
     def test_resume_regenerates_the_torn_caption_whole(self, tmp_path, line, kept, written):
         captions = [caption(0, 10, "first"), caption(1, 10, "second"), caption(2, 11, "third")]
         responses = [
@@ -528,3 +543,28 @@ class TestTornTail:
         summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full.read_bytes()
         assert summary.n_records == 2
+
+    # A finished corpus cut at every byte offset and resumed. Captions get 2,
+    # 1, 3, 1, 2 and 3 records of 226 bytes each, and captions 0 and 1, and 3
+    # and 4, show one image. Every resume restores the uninterrupted bytes but
+    # for the documented gap: a cut just after a newline inside a caption
+    # with several records tears no line, so resume counts that caption as
+    # covered and keeps only its records written so far.
+    def test_every_cut_point_resumes_to_the_same_bytes(self, tmp_path, caplog):
+        caplog.set_level(logging.ERROR, logger="cap2qa")  # not a warning per torn cut
+        counts, images = [2, 1, 3, 1, 2, 3], [10, 10, 11, 12, 12, 13]
+        captions = [caption(i, image_id, f"caption {i}") for i, image_id in enumerate(images)]
+        responses = ["\n".join(f"Question: Q{i}{k}?\nAnswer: A{i}{k}." for k in "abc"[:n]) for i, n in enumerate(counts)]
+        cfg = config()
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), scripted_by_caption(captions, responses, cfg)))
+        path = tmp_path / "full.jsonl"
+        generate_corpus(captions, cfg, path, clock=FixedClock(NOW))
+        full = path.read_bytes()
+        assert [len(line) for line in full.splitlines(keepends=True)] == [226] * 12
+        differ = []
+        for offset in range(len(full) + 1):
+            path.write_bytes(full[:offset])
+            generate_corpus(captions, cfg, path, clock=FixedClock(NOW))
+            if path.read_bytes() != full:
+                differ.append(offset)
+        assert differ == [226, 904, 1130, 1808, 2260, 2486]
