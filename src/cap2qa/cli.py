@@ -196,13 +196,22 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
         "n_answers": result.n_answers,
         "n_hallucinating": result.n_hallucinating,
     }
+    # Answers share few distinct object sets, so each is sorted once and its list reused.
+    sorted_sets: dict[frozenset, list[str]] = {}
+
+    def names(objects: frozenset) -> list[str]:
+        listed = sorted_sets.get(objects)
+        if listed is None:
+            listed = sorted_sets[objects] = sorted(objects)
+        return listed
+
     details = {
         "per_answer": [
             {
                 "image_id": b.image_id,
-                "mentioned": sorted(b.mentioned),
-                "hallucinated": sorted(b.hallucinated),
-                "true_positives": sorted(b.true_positives),
+                "mentioned": names(b.mentioned),
+                "hallucinated": names(b.hallucinated),
+                "true_positives": names(b.true_positives),
             }
             for b in result.per_answer
         ]

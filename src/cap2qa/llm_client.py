@@ -133,6 +133,8 @@ class ResponseCache:
             self.root.mkdir(parents=True, exist_ok=True)
         except FileExistsError as exc:
             raise RuntimeFailure(f"cache directory {root}: must be a directory, not a file") from exc
+        except OSError as exc:
+            raise RuntimeFailure(f"cache directory {root}: {exc.strerror or exc}") from exc
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"

@@ -358,6 +358,18 @@ class TestReportCommand:
         assert payload["command"] == "generate"
 
 
+def test_every_report_is_the_indented_json_dumps_of_its_payload(tmp_path, caplog):
+    for command in FIELD_COMMANDS:
+        argv = write_field_inputs(tmp_path, command)
+        assert run_main(caplog, *argv, "--report", tmp_path / f"{command}.json")[0] == 0
+    stats_argv = ["stats", "--dataset", tmp_path / "out.jsonl", "--report", tmp_path / "stats.json"]
+    assert run_main(caplog, *stats_argv)[0] == 0
+    for command in [*FIELD_COMMANDS, "stats"]:
+        text = (tmp_path / f"{command}.json").read_text(encoding="utf-8")
+        assert json.loads(text)["command"] == command
+        assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
 class TestArgErrors:
     def test_unknown_command_is_exit_1(self):
         assert main(["frobnicate"]) == 1
@@ -821,3 +833,10 @@ class TestUnreadableInputs:
         blocker.write_text("", encoding="utf-8")
         code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--cache-dir", blocker)
         assert (code, lines[-1]) == (2, f"cache directory {blocker}: must be a directory, not a file")
+
+    def test_cache_dir_below_a_file_is_exit_2(self, tmp_path, caplog):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        cache_dir = blocker / "sub"
+        code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--cache-dir", cache_dir)
+        assert (code, lines[-1]) == (2, f"cache directory {cache_dir}: Not a directory")

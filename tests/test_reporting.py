@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cap2qa.errors import InputError
-from cap2qa.reporting import Report, load_report, report_render, sha256_file
+from cap2qa.reporting import Report, json_text, load_report, report_render, sha256_file
 
 T0 = datetime(2024, 5, 1, 10, 0, tzinfo=timezone.utc)
 T1 = datetime(2024, 5, 1, 10, 5, tzinfo=timezone.utc)
@@ -69,3 +72,55 @@ def test_load_round_trip(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(InputError, match=r"^no such file: .*absent\.json$"):
         load_report(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "section, value, kind",
+    [
+        ("metrics", [1], "a number"),
+        ("metrics", True, "a number"),
+        ("metrics", "0.5", "a number"),
+        ("metrics", None, "a number"),
+        ("inputs", 5, "a string"),
+        ("inputs", ["ab"], "a string"),
+    ],
+)
+def test_load_rejects_a_wrongly_typed_value_naming_file_and_key(tmp_path, section, value, kind):
+    path = tmp_path / "r.json"
+    payload = {"command": "x", "started_at": "2024-01-01T00:00:00", "finished_at": "2024-01-01T00:00:00"}
+    payload[section] = {"a": value}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        load_report(path)
+    assert str(info.value) == f"{path}: {section}['a'] must be {kind}, got {json.dumps(value)}"
+
+
+# Every JSON leaf: control and non-ASCII text, big and negative ints, and
+# floats including nan, inf and -0.0.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F) | st.sampled_from("\"\\/é漢\u2028\U0001F600"))
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_PAYLOADS)
+def test_json_text_is_byte_identical_to_indented_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{2: "c", 3: "d"}]}], ids=["top", "nested"])
+def test_json_text_rejects_a_key_that_is_not_a_string(payload):
+    with pytest.raises(TypeError):
+        json_text(payload)
