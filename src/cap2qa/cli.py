@@ -196,7 +196,7 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
         "n_answers": result.n_answers,
         "n_hallucinating": result.n_hallucinating,
     }
-    # Answers share few distinct object sets, so each is sorted once and its list reused.
+    # Many answers share an object set, so each distinct set is sorted once and its list reused.
     sorted_sets: dict[frozenset, list[str]] = {}
 
     def names(objects: frozenset) -> list[str]:
