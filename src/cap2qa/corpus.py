@@ -214,6 +214,19 @@ def read_field(obj: dict, keys: str | tuple[str, ...], where: str, kind: type = 
     raise InputError(f"{where}: missing {' or '.join(map(repr, keys))}")
 
 
+def utf8_text(text: str, where: str, name: str) -> str:
+    """Return ``text``, or raise an :class:`InputError` naming ``where`` and ``name`` if UTF-8 cannot encode it.
+
+    Only a lone surrogate, as a JSON escape such as ``\\ud83d`` decodes to, does that.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(f"{where}: {name} holds a lone surrogate {text[exc.start]!r} at index {exc.start}") from exc
+    return text
+
+
 def _objects(path: str | Path, entries: list, name: str) -> Iterator[tuple[str, dict]]:
     """Yield ``("path: name[i]", entry)`` for a JSON array that must hold objects only."""
     for i, entry in enumerate(entries):
@@ -238,7 +251,7 @@ def load_coco_captions(path: str | Path) -> list[CaptionRecord]:
     for where, entry in _objects(path, annotations, "annotations"):
         caption_id = read_field(entry, "id", where, int)
         image_id = read_field(entry, "image_id", where, int)
-        text = read_field(entry, "caption", where)
+        text = utf8_text(read_field(entry, "caption", where), where, "'caption'")
         if not text.strip():
             raise InputError(f"{where}: empty caption")
         if caption_id in seen_ids:
@@ -295,28 +308,22 @@ def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str
     ]
 
 
-def _record_to_dict(record: InstructionRecord) -> dict:
-    # Key order here defines the on-disk schema; do not reorder.
-    return {
-        "image_id": record.image_id,
-        "question": record.question,
-        "answer": record.answer,
-        "source_caption_ids": list(record.source_caption_ids),
-        "provenance": {
-            "model_id": record.provenance.model_id,
-            "prompt_version": record.provenance.prompt_version,
-            "attempt": record.provenance.attempt,
-            "created_at": record.provenance.created_at.isoformat(),
-        },
-    }
-
-
-# One encoder for every record: json.dumps with a keyword argument builds a new one per call.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# What JSONEncoder(ensure_ascii=False) calls for a str (the C string encoder) and for an int.
+_quote, _int = json.encoder.encode_basestring, int.__repr__
 
 
 def record_to_line(record: InstructionRecord) -> str:
-    return _ENCODER.encode(_record_to_dict(record))
+    # The bytes of JSONEncoder(ensure_ascii=False).encode over nested dicts in
+    # this key order, which defines the on-disk schema; do not reorder. The
+    # line is built directly, with the encoder's own string and int writers.
+    prov = record.provenance
+    return (
+        f'{{"image_id": {_int(record.image_id)}, "question": {_quote(record.question)}, '
+        f'"answer": {_quote(record.answer)}, '
+        f'"source_caption_ids": [{", ".join(map(_int, record.source_caption_ids))}], '
+        f'"provenance": {{"model_id": {_quote(prov.model_id)}, "prompt_version": {_quote(prov.prompt_version)}, '
+        f'"attempt": {_int(prov.attempt)}, "created_at": {_quote(prov.created_at.isoformat())}}}}}'
+    )
 
 
 def _record_from_dict(obj: dict, where: str) -> InstructionRecord:

@@ -165,16 +165,27 @@ def generate_for_caption(
     return GenerationOutcome(records=[], attempts_used=config.retry)
 
 
-def _run_inline(fn, *args, **kwargs) -> Future:
-    """Call ``fn`` now and return a finished future holding its result or exception."""
-    future: Future = Future()
-    try:
-        result = fn(*args, **kwargs)
-    except Exception as exc:
-        future.set_exception(exc)
-    else:
-        future.set_result(result)
-    return future
+class _Finished:
+    """A call made at once, read as ``flush_one`` reads a Future, without a Future's lock and condition per caption."""
+
+    __slots__ = ("_result", "_exception")
+
+    def __init__(self, fn, *args, **kwargs):
+        self._result = self._exception = None
+        try:
+            self._result = fn(*args, **kwargs)
+        except Exception as exc:
+            self._exception = exc
+
+    def result(self):
+        if self._exception is not None:
+            raise self._exception
+        return self._result
+
+    def cancelled(self) -> bool:
+        return False
+
+    cancel = cancelled  # a finished call cannot be cancelled
 
 
 # With more than one worker, a caption sleeping in retry backoff holds the
@@ -237,7 +248,7 @@ def generate_corpus(
     with out:
         with ExitStack() as stack:
             if config.workers == 1:
-                submit, window_size = _run_inline, 1
+                submit, window_size = _Finished, 1
             else:
                 pool = stack.enter_context(ThreadPoolExecutor(max_workers=config.workers))
                 # Runs before the pool's own exit: whatever ends the run, an
@@ -245,7 +256,7 @@ def generate_corpus(
                 stack.callback(pool.shutdown, cancel_futures=True)
                 submit, window_size = pool.submit, _POOL_WINDOW_PER_WORKER * config.workers
 
-            def flush_one(caption: CaptionRecord, future: Future) -> None:
+            def flush_one(caption: CaptionRecord, future: Future | _Finished) -> None:
                 nonlocal n_records, n_exhausted, failure
                 if future.cancelled():
                     return

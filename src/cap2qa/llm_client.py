@@ -26,7 +26,7 @@ from pathlib import Path
 import requests
 
 from .clocks import Clock, SystemClock
-from .corpus import iter_jsonl, read_field
+from .corpus import iter_jsonl, read_field, utf8_text
 from .errors import InputError, RuntimeFailure, ScriptExhaustedError
 
 API_KEY_ENV = "CAP2QA_API_KEY"
@@ -88,7 +88,7 @@ class MockScript:
         responses: list[str] = []
         by_hash: dict[str, str] = {}
         for where, obj in iter_jsonl(path):
-            text = read_field(obj, "response_text", where)
+            text = utf8_text(read_field(obj, "response_text", where), where, "'response_text'")
             if "prompt_hash" not in obj:
                 responses.append(text)
             elif key := read_field(obj, "prompt_hash", where):
@@ -152,9 +152,13 @@ class ResponseCache:
     def put(self, key: str, text: str) -> None:
         path = self._path(key)
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"text": text}, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump({"text": text}, fh, ensure_ascii=False)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 class RateLimiter:
@@ -278,7 +282,13 @@ class AssistantClient:
     @staticmethod
     def _extract_text(response, url: str) -> str:
         try:
-            body = response.json()
-            return body["choices"][0]["message"]["content"]
+            text = response.json()["choices"][0]["message"]["content"]
+            if text is not None and type(text) is not str:
+                raise TypeError(f"content is {type(text).__name__}, not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RuntimeFailure(f"{url} returned an unexpected body ({exc})") from exc
+        # The cache and the corpus are UTF-8 files: a reply they cannot hold is the backend's fault.
+        try:
+            return utf8_text(text or "", url, "reply")
+        except InputError as exc:
+            raise RuntimeFailure(str(exc)) from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import CaptionRecord, as_kind, load_yaml, read_field
@@ -50,6 +50,13 @@ class PromptConfig:
     task_description: str
     conditions: tuple[str, ...]
     version_tag: str
+    # The rendered prompt up to and including its ``Caption:`` line: the same for every caption.
+    head: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lines = ["Rules:", *(f"- {rule}" for rule in self.bottom_rules), "", "Task:", self.task_description, ""]
+        lines += ["Conditions:", *(f"- {cond}" for cond in self.conditions), "", "Caption:", ""]
+        object.__setattr__(self, "head", "\n".join(lines))
 
     @classmethod
     def from_parts(
@@ -88,18 +95,7 @@ def render(config: PromptConfig, caption: CaptionRecord) -> PromptBundle:
     """
     if not caption.text.strip():
         raise InputError(f"caption {caption.caption_id} is empty")
-    lines: list[str] = ["Rules:"]
-    lines.extend(f"- {rule}" for rule in config.bottom_rules)
-    lines.append("")
-    lines.append("Task:")
-    lines.append(config.task_description)
-    lines.append("")
-    lines.append("Conditions:")
-    lines.extend(f"- {cond}" for cond in config.conditions)
-    lines.append("")
-    lines.append("Caption:")
-    lines.append(caption.text)
-    return PromptBundle(rendered="\n".join(lines) + "\n")
+    return PromptBundle(rendered=config.head + caption.text + "\n")
 
 
 def load_prompt_config(path: str | Path) -> PromptConfig:

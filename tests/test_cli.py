@@ -151,6 +151,24 @@ class TestGenerate:
         (record,) = read_instructions(out)
         assert record.provenance.created_at.isoformat() == "2024-05-01T00:00:00+00:00"
 
+    def test_lone_surrogate_in_an_http_reply_is_exit_2_and_caches_nothing(self, tmp_path, caplog, monkeypatch):
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": "Question: Q?\nAnswer: \ud83d."}}]}
+
+        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: Reply())
+        captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
+        cache = tmp_path / "cache"
+        code, lines = run_main(
+            caplog, "generate", "--captions", captions, "--out", tmp_path / "o.jsonl",
+            "--base-url", "http://127.0.0.1:9/v1", "--cache-dir", cache,
+        )
+        assert code == 2
+        assert lines[-1] == "http://127.0.0.1:9/v1/chat/completions: reply holds a lone surrogate '\\ud83d' at index 21"
+        assert list(cache.iterdir()) == []
+
     def test_config_file_with_flag_override(self, tmp_path):
         entries = [(1, 10, "A cat sits.")]
         captions = write_caption_file(tmp_path / "c.json", entries)
@@ -540,6 +558,29 @@ class TestInputErrors:
         code, lines = run_main(caplog, *mock_generate, "--no-resume", flag, value)
         assert (code, lines) == (1, [message])
         assert out.read_bytes() == before
+
+    # A JSON escape such as \ud83d decodes to a lone surrogate, which no
+    # UTF-8 file can hold: bad input, named where it enters, before --out.
+    @pytest.mark.parametrize(
+        "flag, text, where",
+        [
+            ("--captions", '{"annotations": [{"id": 1, "image_id": 10, "caption": "A cat \\ud83d."}]}', ": annotations[0]: 'caption'"),
+            ("--script", '{"response_text": "Question: Q?\\nAnswer: \\ud83d."}\n', ":1: 'response_text'"),
+        ],
+        ids=["captions", "script"],
+    )
+    def test_lone_surrogate_is_exit_1_before_out_is_touched(self, tmp_path, caplog, mock_generate, flag, text, where):
+        assert main([str(a) for a in mock_generate]) == 0
+        out = tmp_path / "o.jsonl"
+        before = out.read_bytes()
+        path = Path(mock_generate[mock_generate.index(flag) + 1])
+        path.write_text(text, encoding="utf-8")
+        caplog.clear()
+        code, lines = run_main(caplog, *mock_generate, "--no-resume", "--cache-dir", tmp_path / "cache")
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"{path}{where} holds a lone surrogate '\\ud83d' at index ")
+        assert out.read_bytes() == before
+        assert not (tmp_path / "cache").exists()
 
     def test_repeated_refs_image_id_is_exit_1(self, tmp_path, caplog):
         refs = write_jsonl(

@@ -1,8 +1,8 @@
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cap2qa.corpus import (
@@ -77,6 +77,13 @@ class TestLoadCaptions:
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(InputError, match=r"c\.json: missing top-level 'annotations' array$"):
             load_coco_captions(path)
+
+    def test_lone_surrogate_names_the_entry(self, tmp_path):
+        # json.dumps writes the lone surrogate as the escape \ud83d, which json.load decodes back.
+        path = write_caption_file(tmp_path / "c.json", [(1, 10, "a cat \U0001f600"), (2, 11, "a dog \ud83d")])
+        with pytest.raises(InputError) as info:
+            load_coco_captions(path)
+        assert str(info.value) == f"{path}: annotations[1]: 'caption' holds a lone surrogate '\\ud83d' at index 6"
 
 
 class TestLoadObjectAnnotations:
@@ -208,6 +215,55 @@ def test_round_trip_property(tmp_path_factory, image_id, question, answer, sourc
     out = tmp_path_factory.mktemp("rt") / "r.jsonl"
     write_instructions(out, [record])
     assert read_instructions(out) == [record]
+
+
+def seed_record_to_line(record: InstructionRecord) -> str:
+    """The line as the seed wrote it, from two dicts through one JSONEncoder: the oracle for record_to_line."""
+    obj = {
+        "image_id": record.image_id,
+        "question": record.question,
+        "answer": record.answer,
+        "source_caption_ids": list(record.source_caption_ids),
+        "provenance": {
+            "model_id": record.provenance.model_id,
+            "prompt_version": record.provenance.prompt_version,
+            "attempt": record.provenance.attempt,
+            "created_at": record.provenance.created_at.isoformat(),
+        },
+    }
+    return json.JSONEncoder(ensure_ascii=False).encode(obj)
+
+
+# Text that JSON must escape or may pass through: quotes, backslashes, control
+# characters, U+2028/U+2029, non-BMP characters, and anything else but a lone surrogate.
+awkward_text = st.text(
+    alphabet=st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029\U0001f600\U0010ffffé/') | st.characters(blacklist_categories=("Cs",)),
+    max_size=30,
+)
+any_int = st.integers() | st.integers(min_value=2**63 - 2, max_value=2**80) | st.integers(max_value=-(2**63) + 2, min_value=-(2**80))
+created_at = st.datetimes(
+    timezones=st.none() | st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    image_id=any_int,
+    question=awkward_text,
+    answer=awkward_text,
+    sources=st.lists(any_int, max_size=5),
+    model_id=awkward_text,
+    prompt_version=awkward_text,
+    attempt=any_int,
+    created=created_at,
+)
+@example(-1, '"q\\"\u2028', "\x00\U0001f600\u2029", [1, 2**64, -(2**63) - 1], "m", "v", 2**63, datetime(2024, 5, 1, 0, 0, 0, 1))
+@example(0, "", "", [], "", "", -5, datetime(2024, 5, 1, 12, 30, 0, 999999, tzinfo=timezone(timedelta(hours=-5, minutes=-30))))
+def test_record_to_line_is_the_seed_encoder_byte_for_byte(image_id, question, answer, sources, model_id, prompt_version, attempt, created):
+    record = InstructionRecord(
+        image_id, question, answer, tuple(sources), Provenance(model_id, prompt_version, attempt, created)
+    )
+    assert record_to_line(record) == seed_record_to_line(record)
 
 
 class TestStats:

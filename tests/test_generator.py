@@ -322,6 +322,35 @@ class TestGenerateCorpus:
         assert client.calls == [0, 1, 2]
         assert out.read_bytes() == b"".join(full.read_bytes().splitlines(keepends=True)[:2])
 
+    def test_one_worker_reraises_the_very_exception_of_the_caption(self, tmp_path, monkeypatch):
+        error = ScriptExhaustedError("mock script has no response left")
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(generator, "generate_for_caption", fail)
+        with pytest.raises(ScriptExhaustedError) as info:
+            generate_corpus([caption()], config(workers=1), tmp_path / "out.jsonl", clock=FixedClock(NOW))
+        assert info.value is error
+
+
+def test_finished_call_holds_what_the_call_returned_or_raised():
+    def call(value):
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    result, error = object(), ValueError("boom")
+    done = generator._Finished(call, result)
+    assert done.result() is result
+    assert (done.cancelled(), done.cancel(), done.cancelled()) == (False, False, False)
+    failed = generator._Finished(call, error)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            failed.result()
+        assert info.value is error
+    assert not hasattr(done, "__dict__")
+
 
 # Every wait in a scheduling test is bounded, so a broken pool fails the test
 # instead of hanging it.

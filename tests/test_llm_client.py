@@ -16,6 +16,7 @@ from cap2qa.llm_client import (
     BackendSpec,
     MockScript,
     RateLimiter,
+    ResponseCache,
     RetryPolicy,
     cache_key,
     prompt_hash,
@@ -150,6 +151,13 @@ class TestMockScript:
         with pytest.raises(InputError, match=r"s\.jsonl:1: missing 'response_text'$"):
             MockScript.from_file(path)
 
+    def test_from_file_names_the_line_of_a_lone_surrogate(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"response_text": "fine \U0001f600"}\n{"response_text": "Answer: \\ud83d"}\n', encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            MockScript.from_file(path)
+        assert str(info.value) == f"{path}:2: 'response_text' holds a lone surrogate '\\ud83d' at index 8"
+
 
 class TestComplete:
     def test_mock_round_trip(self):
@@ -182,6 +190,12 @@ class TestComplete:
         client = AssistantClient(mock_backend("fresh"), cache_dir=cache_dir, clock=FixedClock(NOW))
         assert client.complete(request()) == "fresh"
         assert json.loads(path.read_text(encoding="utf-8")) == {"text": "fresh"}
+
+    def test_failed_cache_write_leaves_no_file(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        with pytest.raises(UnicodeEncodeError):
+            cache.put("k", "Answer: \ud83d")
+        assert list(cache.root.iterdir()) == []
 
     def test_cache_does_not_leak_across_models(self, tmp_path):
         client = AssistantClient(mock_backend("a", "b"), cache_dir=tmp_path / "cache", clock=FixedClock(NOW))
@@ -247,6 +261,19 @@ class TestHttp:
         client, _ = http_client([FakeResponse(200, {"unexpected": True})])
         with pytest.raises(RuntimeFailure, match="returned an unexpected body"):
             client.complete(request())
+
+    def test_content_that_is_not_a_string_is_an_unexpected_body(self):
+        client, _ = http_client([FakeResponse(200, ok_body(5))])
+        with pytest.raises(RuntimeFailure, match=r"returned an unexpected body \(content is int, not a string\)$"):
+            client.complete(request())
+
+    def test_lone_surrogate_in_the_reply_is_a_backend_failure_and_is_not_cached(self, tmp_path):
+        client, _ = http_client([FakeResponse(200, ok_body("Answer: \ud83d!"))], cache_dir=tmp_path / "cache")
+        with pytest.raises(RuntimeFailure) as info:
+            client.complete(request())
+        url = "https://api.example.test/v1/chat/completions"
+        assert str(info.value) == f"{url}: reply holds a lone surrogate '\\ud83d' at index 8"
+        assert list((tmp_path / "cache").iterdir()) == []
 
 
 class TestRateLimiter:

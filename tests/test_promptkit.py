@@ -1,5 +1,9 @@
+import dataclasses
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cap2qa.corpus import CaptionRecord
 from cap2qa.errors import InputError
@@ -49,6 +53,46 @@ class TestRender:
     def test_empty_caption_rejected(self):
         with pytest.raises(InputError, match=r"^caption \d+ is empty$"):
             render(default_prompt_config(), caption("   "))
+
+    def test_replace_derives_the_head_again(self):
+        config = default_prompt_config()
+        changed = dataclasses.replace(config, conditions=("Only one condition.",))
+        rendered = render(changed, caption("zebra crossing")).rendered
+        assert rendered == seed_render(changed, caption("zebra crossing"))
+        assert "- Only one condition.\n\nCaption:\nzebra crossing\n" in rendered
+        assert DEFAULT_CONDITIONS[0] not in rendered
+
+
+def seed_render(config: PromptConfig, record: CaptionRecord) -> str:
+    """The prompt as the seed rendered it, one line list per caption: the oracle for render."""
+    lines: list[str] = ["Rules:"]
+    lines.extend(f"- {rule}" for rule in config.bottom_rules)
+    lines.append("")
+    lines.append("Task:")
+    lines.append(config.task_description)
+    lines.append("")
+    lines.append("Conditions:")
+    lines.extend(f"- {cond}" for cond in config.conditions)
+    lines.append("")
+    lines.append("Caption:")
+    lines.append(record.text)
+    return "\n".join(lines) + "\n"
+
+
+prompt_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bottom_rules=st.lists(prompt_text, min_size=1, max_size=4),
+    task=prompt_text.filter(str.strip),
+    conditions=st.lists(prompt_text, min_size=1, max_size=4),
+    text=prompt_text.filter(str.strip),
+)
+def test_render_is_the_seed_line_join(bottom_rules, task, conditions, text):
+    config = PromptConfig.from_parts(bottom_rules, task, conditions)
+    record = caption(text)
+    assert render(config, record).rendered == seed_render(config, record)
 
 
 class TestVersionTag:
