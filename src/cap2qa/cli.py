@@ -36,6 +36,7 @@ from .corpus import (
     read_field,
     read_instructions,
     scan_jsonl_stats,
+    utf8_text,
 )
 from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, InputError, RuntimeFailure
 from .eval_caption import CaptionEvalSet, CaptionItem, bleu, cider
@@ -52,6 +53,7 @@ log = logging.getLogger("cap2qa")
 ENV_BASE_URL = "CAP2QA_BASE_URL"
 ENV_MODEL = "CAP2QA_MODEL"
 QUESTION_KEYS = ("question_id", "qid", "id")
+BACKENDS = ("http", "mock")
 
 # The generate settings that --config may set, each named as its flag and
 # typed as the flag is; flags override the environment, which overrides it.
@@ -69,6 +71,8 @@ SETTINGS = {
     "prompt": str,
     "script": str,
 }
+# The settings that are text, not paths: the backend gets them, and the report and the records hold them.
+TEXT_SETTINGS = ("base_url", "model")
 
 
 def _read_jsonl(path: str) -> list[tuple[str, dict]]:
@@ -110,8 +114,15 @@ def _clock(args: argparse.Namespace) -> Clock:
 
 
 def _settings(args: argparse.Namespace) -> dict:
-    """The generate settings that were given: config file, then environment, then flags."""
+    """The generate settings that were given: config file, then environment, then flags.
+
+    Each text setting is checked for UTF-8 where it is read, so the error names its source.
+    """
     settings: dict = {}
+
+    def put(key: str, value, where: str, name: str) -> None:
+        settings[key] = utf8_text(value, where, name) if key in TEXT_SETTINGS else value
+
     if args.config:
         file_config = load_yaml(args.config) or {}
         if not isinstance(file_config, dict):
@@ -119,13 +130,15 @@ def _settings(args: argparse.Namespace) -> dict:
         for key in file_config:
             if key not in SETTINGS:
                 raise InputError(f"{args.config}: unknown key {key!r} (known: {', '.join(SETTINGS)})")
-            settings[key] = read_field(file_config, key, args.config, SETTINGS[key])
+            put(key, read_field(file_config, key, args.config, SETTINGS[key]), args.config, repr(key))
+        if settings.get("backend", "http") not in BACKENDS:
+            raise InputError(f"{args.config}: 'backend' must be {' or '.join(BACKENDS)}, got {settings['backend']!r}")
     for key, env_name in (("base_url", ENV_BASE_URL), ("model", ENV_MODEL)):
         if os.environ.get(env_name):
-            settings[key] = os.environ[env_name]
+            put(key, os.environ[env_name], "environment", env_name)
     for key in SETTINGS:
         if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
+            put(key, getattr(args, key), "command line", "--" + key.replace("_", "-"))
     return settings
 
 
@@ -344,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--captions", required=True, help="COCO caption annotation JSON")
     gen.add_argument("--out", required=True, help="output instruction JSONL")
     gen.add_argument("--config", help="YAML config file; flags and env override it")
-    gen.add_argument("--backend", choices=("http", "mock"), default=None)
+    gen.add_argument("--backend", choices=BACKENDS, default=None)
     gen.add_argument("--base-url", default=None, help=f"HTTP backend root (or {ENV_BASE_URL})")
     gen.add_argument("--model", default=None, help=f"model identifier (or {ENV_MODEL})")
     gen.add_argument("--retry", type=int, default=None, help="attempts per caption")

@@ -78,9 +78,6 @@ class Lexicon:
         object.__setattr__(self, "folded", folded)
         object.__setattr__(self, "widths", {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()})
 
-    def category_of(self, surface: str) -> str | None:
-        return self.surface_to_category.get(tuple(tokenize(surface)))
-
 
 def extract_objects(text: str, lexicon: Lexicon) -> frozenset:
     """Categories mentioned in free text.

@@ -42,10 +42,6 @@ class FilterRule:
         object.__setattr__(self, "search", regex.search)
         object.__setattr__(self, "scanned", _SCANNED[self.scope])
 
-    def matches(self, question: str, answer: str) -> bool:
-        texts = (question, answer)
-        return any(self.search(texts[i]) for i in self.scanned)
-
 
 @dataclass
 class FilterReport:
@@ -106,9 +102,9 @@ def filter_artifacts(pairs: Iterable[QAPair], rules: Sequence[FilterRule]) -> Fi
     """Partition pairs into kept and rejected, preserving input order.
 
     A pair is rejected iff at least one rule matches its scoped fields; the
-    first matching rule (in rule order) is recorded against it.
+    first matching rule (in rule order) is recorded against it. An empty
+    rule list keeps every pair: :func:`check_rules` runs where lists enter.
     """
-    check_rules(rules)
     kept: list[QAPair] = []
     rejected: list[tuple[QAPair, str]] = []
     for pair in pairs:

@@ -20,9 +20,11 @@ from __future__ import annotations
 import logging
 import re
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .clocks import Clock, SystemClock
@@ -165,29 +167,6 @@ def generate_for_caption(
     return GenerationOutcome(records=[], attempts_used=config.retry)
 
 
-class _Finished:
-    """A call made at once, read as ``flush_one`` reads a Future, without a Future's lock and condition per caption."""
-
-    __slots__ = ("_result", "_exception")
-
-    def __init__(self, fn, *args, **kwargs):
-        self._result = self._exception = None
-        try:
-            self._result = fn(*args, **kwargs)
-        except Exception as exc:
-            self._exception = exc
-
-    def result(self):
-        if self._exception is not None:
-            raise self._exception
-        return self._result
-
-    def cancelled(self) -> bool:
-        return False
-
-    cancel = cancelled  # a finished call cannot be cancelled
-
-
 # With more than one worker, a caption sleeping in retry backoff holds the
 # head of the reorder window while the other workers serve the captions
 # behind it, until the window is full. The default RetryPolicy sleeps up to
@@ -196,6 +175,50 @@ class _Finished:
 # 0.12 s, as calls to a hosted chat-completion API do, and still bound what
 # the window holds.
 _POOL_WINDOW_PER_WORKER = 64
+
+
+def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[CaptionRecord, GenerationOutcome]]:
+    """Yield ``(caption, run(caption))`` for each caption of ``todo``, in caption order.
+
+    One worker calls ``run`` in the calling thread. More call it on a thread
+    pool, through a reorder window of ``_POOL_WINDOW_PER_WORKER * workers``
+    captions. There the first :class:`Cap2qaError` stops submission and
+    cancels the queued captions; the captions that finished or were running
+    are still yielded, in order, and then that failure is raised, so the
+    partial output stays resumable. Any other exception, or closing the
+    generator early, also cancels the queue before the pool waits for the
+    running captions.
+    """
+    if workers == 1:
+        for caption in todo:
+            yield caption, run(caption)
+        return
+    window_size = _POOL_WINDOW_PER_WORKER * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            pending, window = iter(todo), deque()
+            failure: Cap2qaError | None = None
+            while True:
+                if failure is None:
+                    for caption in islice(pending, window_size - len(window)):
+                        window.append((caption, pool.submit(run, caption)))
+                if not window:
+                    break
+                caption, future = window.popleft()
+                if future.cancelled():
+                    continue
+                try:
+                    outcome = future.result()
+                except Cap2qaError as exc:
+                    if failure is None:
+                        failure = exc
+                        pool.shutdown(wait=False, cancel_futures=True)
+                    continue
+                yield caption, outcome
+            if failure is not None:
+                raise failure
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def generate_corpus(
@@ -209,18 +232,14 @@ def generate_corpus(
 ) -> RunSummary:
     """Generate records for a caption list into a JSONL file.
 
-    Output order equals caption input order regardless of worker completion
-    order. One worker runs each caption in the calling thread and writes it
-    before starting the next; more run them on a thread pool, through a
-    reorder window of 64 captions per worker. With ``resume`` (default),
-    captions that already contributed records to the output file are skipped
-    and new records are appended; an unterminated last line there is dropped
-    first, as :func:`~cap2qa.corpus.drop_torn_tail` says. A backend
-    failure cancels the captions that have not started, writes those that
-    finished or were running, in order, and then propagates, so the partial
-    output stays resumable. Any other way out of a run, Ctrl-C included, also
-    starts no further caption. ``clock`` only stamps the records; a client
-    built here paces its rate limiter and backoff in real time.
+    Output order equals caption input order at any worker count, and a
+    failed or interrupted run starts no further caption, as :func:`_in_order`
+    says. With ``resume`` (default), captions that already contributed
+    records to the output file are skipped and new records are appended; an
+    unterminated last line there is dropped first, as
+    :func:`~cap2qa.corpus.drop_torn_tail` says. ``clock`` only stamps the
+    records; a client built here paces its rate limiter and backoff in real
+    time.
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)
@@ -236,61 +255,28 @@ def generate_corpus(
 
     client = client or make_client(config)
     covered_images = {r.image_id for r in existing}
-    n_records = 0
-    n_exhausted = 0
-    failure: Cap2qaError | None = None
+    n_records = n_exhausted = 0
 
     try:
         out = open(out_path, "a" if existing else "w", encoding="utf-8")
     except OSError as exc:
         raise RuntimeFailure(f"cannot open {out_path}: {exc}") from exc
 
-    with out:
-        with ExitStack() as stack:
-            if config.workers == 1:
-                submit, window_size = _Finished, 1
-            else:
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=config.workers))
-                # Runs before the pool's own exit: whatever ends the run, an
-                # exception or Ctrl-C included, queued captions never start.
-                stack.callback(pool.shutdown, cancel_futures=True)
-                submit, window_size = pool.submit, _POOL_WINDOW_PER_WORKER * config.workers
-
-            def flush_one(caption: CaptionRecord, future: Future | _Finished) -> None:
-                nonlocal n_records, n_exhausted, failure
-                if future.cancelled():
-                    return
-                try:
-                    outcome = future.result()
-                except Cap2qaError as exc:
-                    if failure is None:
-                        failure = exc
-                        for _, queued in window:
-                            queued.cancel()
-                    return
+    outcomes = _in_order(todo, lambda caption: generate_for_caption(caption, config, client=client, clock=clock), config.workers)
+    try:
+        with out, closing(outcomes):
+            for caption, outcome in outcomes:
                 if not outcome.records:
                     n_exhausted += 1
                     log.warning("caption %d exhausted after %d attempts", caption.caption_id, outcome.attempts_used)
-                    return
+                    continue
                 for record in outcome.records:
                     out.write(record_to_line(record) + "\n")
                     n_records += 1
                     covered_images.add(record.image_id)
-
-            window: deque = deque()
-            for caption in todo:
-                if failure is not None:
-                    break
-                window.append((caption, submit(generate_for_caption, caption, config, client=client, clock=clock)))
-                if len(window) >= window_size:
-                    flush_one(*window.popleft())
-            while window:
-                flush_one(*window.popleft())
-        out.flush()
-
-    if failure is not None:
+    except Cap2qaError as failure:
         log.error("run aborted: %s (partial output kept at %s)", failure, out_path)
-        raise failure
+        raise
     return RunSummary(
         n_captions=len(captions),
         n_covered_images=len(covered_images),

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CaptionRecord, as_kind, load_yaml, read_field
+from .corpus import CaptionRecord, as_kind, load_yaml, read_field, utf8_text
 from .errors import InputError
 
 DEFAULT_BOTTOM_RULES = (
@@ -105,13 +105,16 @@ def load_prompt_config(path: str | Path) -> PromptConfig:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: prompt config must be a mapping")
 
-    def strings(key: str) -> list[str]:
-        return [as_kind(v, str, path, f"{key}[{j}]") for j, v in enumerate(read_field(doc, key, path, list))]
+    # Every string reaches the records or the prompt, so each is checked for UTF-8 under its own name.
+    def text(key: str) -> str:
+        return utf8_text(read_field(doc, key, path), path, repr(key))
 
-    label = read_field(doc, "label", path) if "label" in doc else path.stem
+    def strings(key: str) -> list[str]:
+        items = enumerate(read_field(doc, key, path, list))
+        return [utf8_text(as_kind(v, str, path, f"{key}[{j}]"), path, f"{key}[{j}]") for j, v in items]
+
+    label = text("label") if "label" in doc else utf8_text(path.stem, path, "the file name (the default 'label')")
     try:
-        return PromptConfig.from_parts(
-            strings("bottom_rules"), read_field(doc, "task_description", path), strings("conditions"), label=label
-        )
+        return PromptConfig.from_parts(strings("bottom_rules"), text("task_description"), strings("conditions"), label=label)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc

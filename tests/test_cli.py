@@ -11,6 +11,7 @@ import requests
 import yaml
 
 import cap2qa
+from cap2qa import generator
 from cap2qa.cli import main
 from cap2qa.corpus import CaptionRecord, read_instructions
 from cap2qa.llm_client import prompt_hash
@@ -108,6 +109,14 @@ class TestGenerate:
             ]
         )
         assert code == 2
+
+    def test_write_error_mid_run_is_exit_2(self, tmp_path, caplog, monkeypatch):
+        def no_space(record):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(generator, "record_to_line", no_space)
+        code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--workers", "4")
+        assert (code, lines[-1]) == (2, "[Errno 28] No space left on device")
 
     def test_corrupt_cache_entry_is_fetched_again(self, tmp_path, mock_generate):
         cache = tmp_path / "cache"
@@ -582,6 +591,31 @@ class TestInputErrors:
         assert out.read_bytes() == before
         assert not (tmp_path / "cache").exists()
 
+    # The same holds for a text setting given by the environment or a flag,
+    # where a non-UTF-8 byte decodes to a lone surrogate such as \udcff.
+    @pytest.mark.parametrize(
+        "env, flag, source",
+        [
+            ("CAP2QA_MODEL", None, "environment: CAP2QA_MODEL"),
+            ("CAP2QA_BASE_URL", None, "environment: CAP2QA_BASE_URL"),
+            (None, "--model", "command line: --model"),
+            (None, "--base-url", "command line: --base-url"),
+        ],
+        ids=["env-model", "env-base-url", "flag-model", "flag-base-url"],
+    )
+    def test_lone_surrogate_in_a_text_setting_is_exit_1_before_out_is_touched(
+        self, tmp_path, caplog, monkeypatch, mock_generate, env, flag, source
+    ):
+        assert main([str(a) for a in mock_generate]) == 0
+        out = tmp_path / "o.jsonl"
+        before = out.read_bytes()
+        if env:
+            monkeypatch.setenv(env, "gpt\udcff")
+        caplog.clear()
+        code, lines = run_main(caplog, *mock_generate, "--no-resume", *([flag, "gpt\udcff"] if flag else []))
+        assert (code, lines) == (1, [f"{source} holds a lone surrogate '\\udcff' at index 3"])
+        assert out.read_bytes() == before
+
     def test_repeated_refs_image_id_is_exit_1(self, tmp_path, caplog):
         refs = write_jsonl(
             tmp_path / "refs.jsonl",
@@ -746,7 +780,16 @@ class TestFieldErrors:
 
     @pytest.mark.parametrize(
         "content, key",
-        [("worker: 8\n", "worker"), ("workers: [2]\n", "workers"), ("retry: null\n", "retry"), ("rules: [a]\n", "rules")],
+        [
+            ("worker: 8\n", "worker"),
+            ("workers: [2]\n", "workers"),
+            ("retry: null\n", "retry"),
+            ("rules: [a]\n", "rules"),
+            ("backend: foo\n", "backend"),
+            ("backend: foo\nbase_url: http://localhost:1\n", "backend"),
+            ('model: "gpt\\ud83d"\n', "model"),
+            ('base_url: "http://localhost:1/\\ud83d"\n', "base_url"),
+        ],
     )
     def test_bad_config_is_exit_1_naming_file_and_key(self, tmp_path, caplog, content, key):
         config = tmp_path / "cfg.yaml"
@@ -794,6 +837,29 @@ def test_bad_rule_or_prompt_field_is_exit_1_naming_file_and_key(tmp_path, caplog
     assert len(lines) == 1
     assert lines[0].startswith(f"{path}: ")
     assert f"'{key}' must be" in lines[0] or f"{key}[0] must be" in lines[0]
+
+
+# A prompt string reaches every record through the version tag or the
+# prompt, so one with a lone surrogate is named by its key. Without a
+# 'label' the tag takes the file name, which may hold a non-UTF-8 byte.
+@pytest.mark.parametrize(
+    "file_name, doc, name",
+    [
+        ("prompt.yaml", {**PROMPT, "bottom_rules": ["Stay \ud83d."]}, "bottom_rules[0]"),
+        ("prompt.yaml", {**PROMPT, "conditions": ["One \ud83d."]}, "conditions[0]"),
+        ("prompt.yaml", {**PROMPT, "task_description": "Ask \ud83d."}, "'task_description'"),
+        ("prompt.yaml", {**PROMPT, "label": "v\ud83d"}, "'label'"),
+        (os.fsdecode(b"\xff.yaml"), PROMPT, "the file name (the default 'label')"),
+    ],
+    ids=["bottom-rules", "conditions", "task-description", "label", "file-name"],
+)
+def test_lone_surrogate_in_a_prompt_names_its_key(tmp_path, caplog, mock_generate, file_name, doc, name):
+    path = tmp_path / file_name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, lines = run_main(caplog, *mock_generate, "--prompt", path)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith(f"{path}: {name} holds a lone surrogate '\\ud")
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 # --- unreadable input files: exit 1 with one line naming the path ----------

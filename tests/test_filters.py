@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cap2qa.errors import InputError
 from cap2qa.filters import (
     FilterRule,
+    check_rules,
     default_rules,
     filter_artifacts,
     load_rules,
@@ -33,12 +34,12 @@ class TestRuleValidation:
             FilterRule(rule_id="same", scope="either", pattern="a"),
             FilterRule(rule_id="same", scope="either", pattern="b"),
         ]
-        with pytest.raises(ValueError):
-            filter_artifacts([pair()], rules)
+        with pytest.raises(ValueError, match="^duplicate rule_id 'same'$"):
+            check_rules(rules)
 
     def test_empty_rule_list_rejected(self):
-        with pytest.raises(ValueError):
-            filter_artifacts([pair()], [])
+        with pytest.raises(ValueError, match="^rules must be non-empty$"):
+            check_rules([])
 
 
 class TestDefaultRules:
@@ -149,7 +150,7 @@ def test_filter_equals_the_rule_by_rule_scan(rules, pairs):
     assert (report.kept, report.rejected) == oracle_filter(pairs, rules)
     assert report.input_count == len(pairs)
     for p in pairs:
-        assert [r.matches(p.question, p.answer) for r in rules] == [bool(oracle_filter([p], [r])[1]) for r in rules]
+        assert [bool(filter_artifacts([p], [r]).rejected) for r in rules] == [bool(oracle_filter([p], [r])[1]) for r in rules]
 
 
 class TestYamlRoundTrip:

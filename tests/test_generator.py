@@ -334,24 +334,6 @@ class TestGenerateCorpus:
         assert info.value is error
 
 
-def test_finished_call_holds_what_the_call_returned_or_raised():
-    def call(value):
-        if isinstance(value, Exception):
-            raise value
-        return value
-
-    result, error = object(), ValueError("boom")
-    done = generator._Finished(call, result)
-    assert done.result() is result
-    assert (done.cancelled(), done.cancel(), done.cancelled()) == (False, False, False)
-    failed = generator._Finished(call, error)
-    for _ in range(2):
-        with pytest.raises(ValueError) as info:
-            failed.result()
-        assert info.value is error
-    assert not hasattr(done, "__dict__")
-
-
 # Every wait in a scheduling test is bounded, so a broken pool fails the test
 # instead of hanging it.
 TIMEOUT = 10
@@ -437,6 +419,45 @@ class TestPoolWindow:
         assert queue_cancelled.is_set()
         assert sorted(client.calls) == [0, 1, 2]
         assert out.read_bytes() == b"".join(lines[i] for i in written)
+
+    # The same holds for a failure in the writer: caption 1's record cannot be
+    # written once caption 2 has started. The queued captions are cancelled,
+    # caption 2 is not written, and the OSError propagates.
+    def test_a_write_error_cancels_the_queued_captions(self, tmp_path, monkeypatch):
+        captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(6)]
+        cfg = config(workers=2, retry=1)
+        lines = self.lines(tmp_path, cfg, captions)
+        two_started, queue_cancelled = threading.Event(), threading.Event()
+
+        def hook(cid):
+            if cid == 1:
+                two_started.wait(TIMEOUT)
+            if cid == 2:
+                two_started.set()
+                queue_cancelled.wait(TIMEOUT)
+
+        real = generator.record_to_line
+
+        def fail_at_1(record):
+            if record.source_caption_ids == (1,):
+                raise OSError(28, "No space left on device")
+            return real(record)
+
+        watch_pool(monkeypatch, {
+            1: lambda future: queue_cancelled.wait(TIMEOUT),
+            5: lambda future: future.cancelled() and queue_cancelled.set(),
+        })
+        monkeypatch.setattr(generator, "record_to_line", fail_at_1)
+        client = ScriptedClient(cfg, captions, hook)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(OSError, match="No space left on device"):
+            try:
+                generate_corpus(captions, cfg, out, clock=FixedClock(NOW), client=client)
+            finally:
+                # Read as the error leaves the run: nothing else has closed it yet.
+                at_exit = (queue_cancelled.is_set(), sorted(client.calls))
+        assert at_exit == (True, [0, 1, 2])
+        assert out.read_bytes() == lines[0]
 
     # Caption 0 stands for a caption sleeping in retry backoff: it returns only
     # once the other worker has served every other caption the window admits.
