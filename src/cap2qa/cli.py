@@ -46,7 +46,7 @@ from .filters import load_rules
 from .generator import GeneratorConfig, generate_corpus
 from .llm_client import BackendSpec, MockScript
 from .promptkit import load_prompt_config
-from .reporting import Report, load_report, report_render, sha256_file
+from .reporting import load_report, report_render, sha256_file
 
 log = logging.getLogger("cap2qa")
 
@@ -55,21 +55,21 @@ ENV_MODEL = "CAP2QA_MODEL"
 QUESTION_KEYS = ("question_id", "qid", "id")
 BACKENDS = ("http", "mock")
 
-# The generate settings that --config may set, each named as its flag and
-# typed as the flag is; flags override the environment, which overrides it.
+# The generate settings, each a --config key and a flag (--key, - for _) of that type and help;
+# flags override the environment, which overrides the config file.
 SETTINGS = {
-    "backend": str,
-    "base_url": str,
-    "model": str,
-    "retry": int,
-    "workers": int,
-    "temperature": float,
-    "max_output_tokens": int,
-    "rate_limit_rpm": int,
-    "cache_dir": str,
-    "rules": str,
-    "prompt": str,
-    "script": str,
+    "backend": (str, "http or mock (default http)"),
+    "base_url": (str, f"HTTP backend root (or {ENV_BASE_URL})"),
+    "model": (str, f"model identifier (or {ENV_MODEL})"),
+    "retry": (int, "attempts per caption"),
+    "workers": (int, "parallel requests"),
+    "temperature": (float, "sampling temperature"),
+    "max_output_tokens": (int, "response length limit"),
+    "rate_limit_rpm": (int, "backend requests per minute"),
+    "cache_dir": (str, "enable the response cache at this directory"),
+    "rules": (str, "filter rules YAML"),
+    "prompt": (str, "prompt config YAML"),
+    "script": (str, "mock backend script JSONL"),
 }
 # The settings that are text, not paths: the backend gets them, and the report and the records hold them.
 TEXT_SETTINGS = ("base_url", "model")
@@ -79,13 +79,26 @@ def _read_jsonl(path: str) -> list[tuple[str, dict]]:
     return list(iter_jsonl(path))
 
 
+def _path_text(path) -> str:
+    """A path as a report names it: a byte that is not UTF-8 is escaped, as in ``cap\\xff.json``."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths: list, metrics: dict, details: dict) -> None:
-    """Hash the inputs and write the run report to ``--report`` or stdout."""
-    inputs = {str(path): sha256_file(path) for path in input_paths if path}
-    report = Report(args.command, inputs, metrics, started, clock.now(), details)
+    """Hash the inputs and write the run report to ``--report`` or stdout; the file is opened only once the report is encoded."""
+    report = {
+        "command": args.command,
+        "inputs": {_path_text(path): sha256_file(path) for path in input_paths if path},
+        "metrics": metrics,
+        "started_at": started.isoformat(),
+        "finished_at": clock.now().isoformat(),
+        "tool_version": __version__,
+    }
+    if details:
+        report["details"] = details
     rendered = report_render(report, "json")
     if args.report:
-        Path(args.report).write_text(rendered, encoding="utf-8")
+        Path(args.report).write_bytes(rendered.encode("utf-8"))
         log.info("report written to %s", args.report)
     else:
         sys.stdout.write(rendered)
@@ -116,11 +129,14 @@ def _clock(args: argparse.Namespace) -> Clock:
 def _settings(args: argparse.Namespace) -> dict:
     """The generate settings that were given: config file, then environment, then flags.
 
-    Each text setting is checked for UTF-8 where it is read, so the error names its source.
+    Each text setting is checked for UTF-8, and the backend for its kind,
+    where it is read, so the error names its source.
     """
     settings: dict = {}
 
     def put(key: str, value, where: str, name: str) -> None:
+        if key == "backend" and value not in BACKENDS:
+            raise InputError(f"{where}: {name} must be {' or '.join(BACKENDS)}, got {value!r}")
         settings[key] = utf8_text(value, where, name) if key in TEXT_SETTINGS else value
 
     if args.config:
@@ -130,9 +146,7 @@ def _settings(args: argparse.Namespace) -> dict:
         for key in file_config:
             if key not in SETTINGS:
                 raise InputError(f"{args.config}: unknown key {key!r} (known: {', '.join(SETTINGS)})")
-            put(key, read_field(file_config, key, args.config, SETTINGS[key]), args.config, repr(key))
-        if settings.get("backend", "http") not in BACKENDS:
-            raise InputError(f"{args.config}: 'backend' must be {' or '.join(BACKENDS)}, got {settings['backend']!r}")
+            put(key, read_field(file_config, key, args.config, SETTINGS[key][0]), args.config, repr(key))
     for key, env_name in (("base_url", ENV_BASE_URL), ("model", ENV_MODEL)):
         if os.environ.get(env_name):
             put(key, os.environ[env_name], "environment", env_name)
@@ -144,16 +158,15 @@ def _settings(args: argparse.Namespace) -> dict:
 
 def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
     settings = _settings(args)
-    backend_kind = settings.pop("backend", "http")
     script, base_url = settings.pop("script", None), settings.pop("base_url", None)
-    if backend_kind == "mock":
+    if settings.pop("backend", "http") == "mock":
         if not script:
             raise InputError("mock backend requires --script")
         backend = BackendSpec(kind="mock", script=MockScript.from_file(script))
     else:
         if not base_url:
             raise InputError(f"http backend requires --base-url or {ENV_BASE_URL}")
-        backend = BackendSpec(kind=backend_kind, base_url=base_url)
+        backend = BackendSpec(kind="http", base_url=base_url)
 
     # What is left are GeneratorConfig fields; three of them name files to read.
     if "model" in settings:
@@ -177,7 +190,7 @@ def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
         summary.n_exhausted,
     )
 
-    details = {"out": str(args.out), "prompt_version": config.prompt.version_tag, "model_id": config.model_id}
+    details = {"out": _path_text(args.out), "prompt_version": config.prompt.version_tag, "model_id": config.model_id}
     return [args.captions], asdict(summary), details
 
 
@@ -235,11 +248,19 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
 # --- eval-vqa -----------------------------------------------------------
 
 
+def _read_id(row: dict, keys: tuple[str, ...], where: str, kind: type):
+    """Read a row's id; one that is text reaches the report, so it must be UTF-8."""
+    key = read_field(row, keys, where, kind)
+    if kind is str and not key.isascii():
+        utf8_text(key, where, repr(next(k for k in keys if k in row)))
+    return key
+
+
 def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str, ...], kind: type) -> dict:
     """Map each id to its references; a single string is one reference, and an id may appear once."""
     refs: dict = {}
     for where, row in _read_jsonl(path):
-        key = read_field(row, id_keys, where, kind)
+        key = _read_id(row, id_keys, where, kind)
         if key in refs:
             raise InputError(f"{where}: repeated id {key!r}")
         value = read_field(row, value_keys, where, object)
@@ -258,7 +279,7 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     items: dict[str, VqaItem] = {}
     n_ignored = 0
     for where, row in _read_jsonl(args.pred):
-        qid = read_field(row, QUESTION_KEYS, where)
+        qid = _read_id(row, QUESTION_KEYS, where, str)
         prediction = read_field(row, ("prediction", "answer", "text"), where)
         if qid not in references:
             log.warning("prediction for unknown question %s ignored", qid)
@@ -357,19 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--captions", required=True, help="COCO caption annotation JSON")
     gen.add_argument("--out", required=True, help="output instruction JSONL")
     gen.add_argument("--config", help="YAML config file; flags and env override it")
-    gen.add_argument("--backend", choices=BACKENDS, default=None)
-    gen.add_argument("--base-url", default=None, help=f"HTTP backend root (or {ENV_BASE_URL})")
-    gen.add_argument("--model", default=None, help=f"model identifier (or {ENV_MODEL})")
-    gen.add_argument("--retry", type=int, default=None, help="attempts per caption")
-    gen.add_argument("--workers", type=int, default=None, help="parallel requests")
-    gen.add_argument("--rules", default=None, help="filter rules YAML")
-    gen.add_argument("--prompt", default=None, help="prompt config YAML")
-    gen.add_argument("--script", default=None, help="mock backend script JSONL")
+    for key, (kind, help_text) in SETTINGS.items():
+        gen.add_argument("--" + key.replace("_", "-"), type=kind, default=None, help=help_text)
     gen.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True, help="skip captions already in --out")
-    gen.add_argument("--cache-dir", default=None, help="enable the response cache at this directory")
-    gen.add_argument("--rate-limit-rpm", type=int, default=None)
-    gen.add_argument("--temperature", type=float, default=None)
-    gen.add_argument("--max-output-tokens", type=int, default=None)
     gen.add_argument("--fixed-clock", default=None, metavar="ISO", help="freeze record and report timestamps; pacing and backoff stay real-time")
     gen.add_argument("--report", default=None, help="write the run report JSON here instead of stdout")
     gen.set_defaults(func=_cmd_generate)

@@ -243,6 +243,8 @@ def generate_corpus(
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)
+    # A client that cannot be built (its cache directory is a file) fails before resume cuts the output.
+    client = client or make_client(config)
 
     existing: list[InstructionRecord] = []
     if resume and out_path.exists():
@@ -253,7 +255,6 @@ def generate_corpus(
     if len(todo) < len(captions):
         log.info("resume: %d of %d captions already covered", len(captions) - len(todo), len(captions))
 
-    client = client or make_client(config)
     covered_images = {r.image_id for r in existing}
     n_records = n_exhausted = 0
 

@@ -89,6 +89,8 @@ class MockScript:
         by_hash: dict[str, str] = {}
         for where, obj in iter_jsonl(path):
             text = utf8_text(read_field(obj, "response_text", where), where, "'response_text'")
+            if not text:
+                raise InputError(f"{where}: 'response_text' must be non-empty")
             if "prompt_hash" not in obj:
                 responses.append(text)
             elif key := read_field(obj, "prompt_hash", where):

@@ -1,7 +1,8 @@
 """Machine-readable run reports.
 
-A report captures the command, content hashes of every input file, the
-metric values, and wall-clock bounds. The JSON report is exactly
+A report is one payload dict: the command, content hashes of every input
+file, the metric values, wall-clock bounds as ISO strings, the tool version,
+and the command's details when it has any. The JSON report is exactly
 ``json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)`` plus a
 newline, so identical runs produce identical bytes; markdown rendering is
 for human eyes.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring
 
@@ -39,30 +39,6 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass
-class Report:
-    command: str
-    inputs: dict[str, str]
-    metrics: dict[str, float]
-    started_at: datetime
-    finished_at: datetime
-    details: dict = field(default_factory=dict)
-    tool_version: str = _version
-
-    def to_dict(self) -> dict:
-        payload = {
-            "command": self.command,
-            "inputs": dict(sorted(self.inputs.items())),
-            "metrics": self.metrics,
-            "started_at": self.started_at.isoformat(),
-            "finished_at": self.finished_at.isoformat(),
-            "tool_version": self.tool_version,
-        }
-        if self.details:
-            payload["details"] = self.details
-        return payload
 
 
 def json_text(value) -> str:
@@ -116,29 +92,24 @@ def json_text(value) -> str:
     return "".join(pieces)
 
 
-def report_render(report: Report, fmt: str = "json") -> str:
+def report_render(report: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json_text(report.to_dict()) + "\n"
+        return json_text(report) + "\n"
     if fmt == "markdown":
         lines = [
-            f"# {report.command}",
+            f"# {report['command']}",
             "",
-            f"- tool version: {report.tool_version}",
-            f"- started: {report.started_at.isoformat()}",
-            f"- finished: {report.finished_at.isoformat()}",
+            f"- tool version: {report['tool_version']}",
+            f"- started: {report['started_at']}",
+            f"- finished: {report['finished_at']}",
             "",
         ]
-        if report.inputs:
-            lines.append("## Inputs")
+        if report["inputs"]:
+            lines += ["## Inputs", ""]
+            lines += [f"- `{path}` sha256 `{digest}`" for path, digest in sorted(report["inputs"].items())]
             lines.append("")
-            for path, digest in sorted(report.inputs.items()):
-                lines.append(f"- `{path}` sha256 `{digest}`")
-            lines.append("")
-        lines.append("## Metrics")
-        lines.append("")
-        lines.append("| metric | value |")
-        lines.append("| --- | --- |")
-        for key, value in report.metrics.items():
+        lines += ["## Metrics", "", "| metric | value |", "| --- | --- |"]
+        for key, value in report["metrics"].items():
             shown = f"{value:.6f}" if isinstance(value, float) else str(value)
             lines.append(f"| {_DISPLAY_NAMES.get(key, key)} | {shown} |")
         lines.append("")
@@ -146,23 +117,26 @@ def report_render(report: Report, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
-def load_report(path: str) -> Report:
+def load_report(path: str) -> dict:
+    """Read a saved report's payload, its timestamps in ``isoformat``; other keys and empty details are dropped."""
     payload = load_json(path)
     try:
-        report = Report(
-            command=read_field(payload, "command", path),
-            inputs=as_kind(payload.get("inputs", {}), dict, path, "'inputs'"),
-            metrics=as_kind(payload.get("metrics", {}), dict, path, "'metrics'"),
-            started_at=datetime.fromisoformat(payload["started_at"]),
-            finished_at=datetime.fromisoformat(payload["finished_at"]),
-            details=as_kind(payload.get("details", {}), dict, path, "'details'"),
-            tool_version=as_kind(payload.get("tool_version", _version), str, path, "'tool_version'"),
-        )
+        report = {
+            "command": read_field(payload, "command", path),
+            "inputs": as_kind(payload.get("inputs", {}), dict, path, "'inputs'"),
+            "metrics": as_kind(payload.get("metrics", {}), dict, path, "'metrics'"),
+            "started_at": datetime.fromisoformat(payload["started_at"]).isoformat(),
+            "finished_at": datetime.fromisoformat(payload["finished_at"]).isoformat(),
+            "details": as_kind(payload.get("details", {}), dict, path, "'details'"),
+            "tool_version": as_kind(payload.get("tool_version", _version), str, path, "'tool_version'"),
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: not a cap2qa report ({type(exc).__name__}: {exc})") from exc
+    if not report["details"]:
+        del report["details"]
     # An input digest is a string and a metric a number; a bool is neither.
     for section, kinds, kind_name in (("inputs", (str,), "a string"), ("metrics", (int, float), "a number")):
-        for key, value in getattr(report, section).items():
+        for key, value in report[section].items():
             if type(value) not in kinds:
                 shown = json.dumps(value, ensure_ascii=False)
                 raise InputError(f"{path}: {section}[{key!r}] must be {kind_name}, got {shown}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -11,7 +12,7 @@ import requests
 import yaml
 
 import cap2qa
-from cap2qa import generator
+from cap2qa import cli, generator
 from cap2qa.cli import main
 from cap2qa.corpus import CaptionRecord, read_instructions
 from cap2qa.llm_client import prompt_hash
@@ -384,6 +385,41 @@ class TestReportCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "generate"
 
+    def test_json_prints_back_the_bytes_of_every_saved_report(self, tmp_path, caplog, capsys):
+        for command in FIELD_COMMANDS:
+            path = tmp_path / f"{command}.json"
+            assert run_main(caplog, *write_field_inputs(tmp_path, command), "--report", path)[0] == 0
+            capsys.readouterr()
+            assert run_main(caplog, "report", "--in", path, "--format", "json")[0] == 0
+            assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+    # The report is encoded whole before --report is opened, so a report that
+    # cannot be encoded leaves the one from an earlier run as it was.
+    def test_a_report_that_cannot_be_encoded_keeps_the_earlier_one(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "report.json"
+        assert run_main(caplog, *write_field_inputs(tmp_path, "eval-vqa"), "--report", path)[0] == 0
+        before = path.read_bytes()
+        monkeypatch.setattr(cli, "report_render", lambda report, fmt: "\ud83d")
+        assert run_main(caplog, *write_field_inputs(tmp_path, "eval-vqa"), "--report", path)[0] == 1
+        assert path.read_bytes() == before
+
+    # A path is named in the report with each byte that is not UTF-8 escaped;
+    # the file itself is still read and hashed.
+    def test_a_path_that_is_not_utf8_is_escaped(self, tmp_path, caplog):
+        argv = write_field_inputs(tmp_path, "generate")
+        for flag, name in (("--captions", b"cap\xff.json"), ("--out", b"out\xfe.jsonl")):
+            path = str(tmp_path / os.fsdecode(name))
+            if os.path.exists(argv[argv.index(flag) + 1]):
+                os.rename(argv[argv.index(flag) + 1], path)
+            argv[argv.index(flag) + 1] = path
+        report = tmp_path / "run.json"
+        assert run_main(caplog, *argv, "--report", report)[0] == 0
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        captions_bytes = (tmp_path / os.fsdecode(b"cap\xff.json")).read_bytes()
+        assert payload["inputs"] == {f"{tmp_path}/cap\\xff.json": hashlib.sha256(captions_bytes).hexdigest()}
+        assert payload["details"]["out"] == f"{tmp_path}/out\\xfe.jsonl"
+        assert run_main(caplog, "report", "--in", report)[0] == 0
+
 
 def test_every_report_is_the_indented_json_dumps_of_its_payload(tmp_path, caplog):
     for command in FIELD_COMMANDS:
@@ -615,6 +651,40 @@ class TestInputErrors:
         code, lines = run_main(caplog, *mock_generate, "--no-resume", *([flag, "gpt\udcff"] if flag else []))
         assert (code, lines) == (1, [f"{source} holds a lone surrogate '\\udcff' at index 3"])
         assert out.read_bytes() == before
+
+    def test_unknown_backend_flag_is_exit_1_naming_it(self, caplog, mock_generate):
+        argv = list(mock_generate)
+        argv[argv.index("--backend") + 1] = "foo"
+        code, lines = run_main(caplog, *argv)
+        assert (code, lines) == (1, ["command line: --backend must be http or mock, got 'foo'"])
+
+    # An empty reply from a backend stops the run with exit 2; an empty one in
+    # a script is bad input, named when the script is loaded.
+    @pytest.mark.parametrize("keyed", [False, True], ids=["ordered", "hash-keyed"])
+    def test_empty_response_text_is_exit_1_before_out_is_touched(self, tmp_path, caplog, keyed):
+        entries = [(1, 10, "A cat sits."), (2, 11, "A dog runs.")]
+        captions = write_caption_file(tmp_path / "c.json", entries)
+        rows = hash_script_rows(zip(entries, ["Question: What sits?\nAnswer: A cat.", ""]))
+        script = write_jsonl(tmp_path / "s.jsonl", rows if keyed else [{"response_text": r["response_text"]} for r in rows])
+        out = tmp_path / "o.jsonl"
+        code, lines = run_main(caplog, "generate", "--captions", captions, "--out", out, "--backend", "mock", "--script", script)
+        assert (code, lines) == (1, [f"{script}:2: 'response_text' must be non-empty"])
+        assert not out.exists()
+
+    # A question id reaches the report, so one with a lone surrogate is bad
+    # input, named where it is read, before an earlier report is touched.
+    @pytest.mark.parametrize("name", ["gt.jsonl", "vqa-pred.jsonl"])
+    def test_lone_surrogate_in_a_question_id_is_exit_1_and_keeps_the_report(self, tmp_path, caplog, name):
+        argv = write_field_inputs(tmp_path, "eval-vqa")
+        report = tmp_path / "report.json"
+        assert run_main(caplog, *argv, "--report", report)[0] == 0
+        before = report.read_bytes()
+        row = {**FIELD_INPUTS[name][0], "question_id": "q\ud83d"}
+        (tmp_path / name).write_text(json.dumps(row) + "\n", encoding="utf-8")
+        caplog.clear()
+        code, lines = run_main(caplog, *argv, "--report", report)
+        assert (code, lines) == (1, [f"{tmp_path / name}:1: 'question_id' holds a lone surrogate '\\ud83d' at index 1"])
+        assert report.read_bytes() == before
 
     def test_repeated_refs_image_id_is_exit_1(self, tmp_path, caplog):
         refs = write_jsonl(
@@ -940,6 +1010,19 @@ class TestUnreadableInputs:
         blocker.write_text("", encoding="utf-8")
         code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--cache-dir", blocker)
         assert (code, lines[-1]) == (2, f"cache directory {blocker}: must be a directory, not a file")
+
+    # Resume would cut a torn --out; a --cache-dir that cannot be made fails before that.
+    def test_file_as_cache_dir_leaves_a_torn_out_alone(self, tmp_path, caplog):
+        argv = write_field_inputs(tmp_path, "generate")
+        assert run_main(caplog, *argv)[0] == 0
+        out = Path(argv[argv.index("--out") + 1])
+        out.write_bytes(out.read_bytes()[:-5])
+        before = out.read_bytes()
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        code, lines = run_main(caplog, *argv, "--cache-dir", blocker)
+        assert (code, lines[-1]) == (2, f"cache directory {blocker}: must be a directory, not a file")
+        assert out.read_bytes() == before
 
     def test_cache_dir_below_a_file_is_exit_2(self, tmp_path, caplog):
         blocker = tmp_path / "not-a-directory"

@@ -146,6 +146,14 @@ class TestMockScript:
             MockScript.from_file(path)
         assert str(info.value) == f"{path}:2: 'prompt_hash' {message}"
 
+    @pytest.mark.parametrize("keyed", [False, True], ids=["ordered", "hash-keyed"])
+    def test_from_file_rejects_an_empty_response_text(self, tmp_path, keyed):
+        row = {"response_text": "", **({"prompt_hash": prompt_hash("p")} if keyed else {})}
+        path = write_jsonl(tmp_path / "s.jsonl", [{"response_text": "plain"}, row])
+        with pytest.raises(InputError) as info:
+            MockScript.from_file(path)
+        assert str(info.value) == f"{path}:2: 'response_text' must be non-empty"
+
     def test_from_file_missing_field(self, tmp_path):
         path = write_jsonl(tmp_path / "s.jsonl", [{"text": "no"}])
         with pytest.raises(InputError, match=r"s\.jsonl:1: missing 'response_text'$"):
