@@ -29,12 +29,12 @@ from .corpus import (
     IMAGE_KEYS,
     as_kind,
     dataset_stats,
+    iter_instructions,
     iter_jsonl,
     load_coco_captions,
     load_object_annotations,
     load_yaml,
     read_field,
-    read_instructions,
     scan_jsonl_stats,
     utf8_text,
 )
@@ -181,17 +181,11 @@ def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
 
     captions = load_coco_captions(args.captions)
     log.info("loaded %d captions from %s", len(captions), args.captions)
-    summary = generate_corpus(captions, config, args.out, resume=args.resume, clock=clock)
-    log.info(
-        "generated %d records over %d images (%d captions, %d exhausted retries)",
-        summary.n_records,
-        summary.n_covered_images,
-        summary.n_captions,
-        summary.n_exhausted,
-    )
+    counts = generate_corpus(captions, config, args.out, resume=args.resume, clock=clock)
+    log.info("generated %(n_records)d records over %(n_covered_images)d images (%(n_captions)d captions, %(n_exhausted)d exhausted retries)", counts)
 
     details = {"out": _path_text(args.out), "prompt_version": config.prompt.version_tag, "model_id": config.model_id}
-    return [args.captions], asdict(summary), details
+    return [args.captions], counts, details
 
 
 # --- eval-chair ---------------------------------------------------------
@@ -352,7 +346,7 @@ def _cmd_stats(args: argparse.Namespace, clock: Clock) -> tuple:
     if args.lenient:
         stats = scan_jsonl_stats(args.dataset)
     else:
-        stats = dataset_stats(read_instructions(args.dataset))
+        stats = dataset_stats(iter_instructions(args.dataset))
     return [args.dataset], asdict(stats), {}
 
 

@@ -369,9 +369,14 @@ def write_instructions(path: str | Path, records: Iterable[InstructionRecord]) -
     return count
 
 
+def iter_instructions(path: str | Path) -> Iterator[InstructionRecord]:
+    """Yield the records of a file :func:`write_instructions` wrote, each validated as it is read."""
+    return (_record_from_dict(obj, where) for where, obj in iter_jsonl(path))
+
+
 def read_instructions(path: str | Path) -> list[InstructionRecord]:
     """Inverse of :func:`write_instructions`."""
-    return [_record_from_dict(obj, where) for where, obj in iter_jsonl(path)]
+    return list(iter_instructions(path))
 
 
 def drop_torn_tail(path: str | Path) -> None:

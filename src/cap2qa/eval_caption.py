@@ -54,16 +54,16 @@ class CaptionEvalSet:
     items: list[CaptionItem]
 
 
-def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
-    """Counts of every n-gram, n = 1..max_n, keyed by order then first position."""
+def _ngram_counts(tokens: list[str]) -> Counter:
+    """Counts of every n-gram, n = 1..NGRAM_ORDERS, keyed by order then first position."""
     counts: Counter = Counter()
-    for n in range(1, max_n + 1):
+    for n in range(1, NGRAM_ORDERS + 1):
         counts.update(zip(*[tokens[i:] for i in range(n)]))
     return counts
 
 
-def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
-    """Corpus-level BLEU-1..max_n.
+def bleu(eval_set: CaptionEvalSet) -> list[float]:
+    """Corpus-level BLEU-1..4.
 
     An order with zero pooled overlap (or no candidate n-grams at all)
     scores exactly 0 for that order and above; no smoothing is applied.
@@ -71,8 +71,8 @@ def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
     if not eval_set.items:
         raise InputError("BLEU needs at least one item")
 
-    correct = [0] * max_n
-    guess = [0] * max_n
+    correct = [0] * NGRAM_ORDERS
+    guess = [0] * NGRAM_ORDERS
     candidate_len = 0
     reference_len = 0
     for item in eval_set.items:
@@ -83,15 +83,15 @@ def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
         reference_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
 
         # Each candidate n-gram is clipped to its highest count in one reference.
-        cand_counts = _ngram_counts(cand, max_n)
+        cand_counts = _ngram_counts(cand)
         clip = dict.fromkeys(cand_counts, 0)
         for ref in refs:
-            ref_counts = _ngram_counts(ref, max_n)
+            ref_counts = _ngram_counts(ref)
             for ngram, best in clip.items():
                 count = ref_counts.get(ngram, 0)
                 if count > best:
                     clip[ngram] = count
-        for n in range(1, max_n + 1):
+        for n in range(1, NGRAM_ORDERS + 1):
             guess[n - 1] += max(0, len(cand) - n + 1)
         for ngram, count in cand_counts.items():
             correct[len(ngram) - 1] += min(count, clip[ngram])
@@ -101,9 +101,9 @@ def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
     else:
         brevity_penalty = 1.0
 
-    precisions = [correct[n] / guess[n] if guess[n] > 0 else 0.0 for n in range(max_n)]
+    precisions = [correct[n] / guess[n] if guess[n] > 0 else 0.0 for n in range(NGRAM_ORDERS)]
     scores: list[float] = []
-    for k in range(1, max_n + 1):
+    for k in range(1, NGRAM_ORDERS + 1):
         if any(p == 0.0 for p in precisions[:k]):
             scores.append(0.0)
             continue
@@ -112,29 +112,29 @@ def bleu(eval_set: CaptionEvalSet, max_n: int = NGRAM_ORDERS) -> list[float]:
     return scores
 
 
-def _stemmed_ngram_counts(text: str, max_n: int) -> tuple[Counter, int]:
+def _stemmed_ngram_counts(text: str) -> tuple[Counter, int]:
     tokens = [_stem_cached(t) for t in tokenize(text)]
-    return _ngram_counts(tokens, max_n), len(tokens)
+    return _ngram_counts(tokens), len(tokens)
 
 
-def _tfidf(counts: Counter, idf: dict, log_corpus_size: float, max_n: int) -> tuple[dict, list[float]]:
+def _tfidf(counts: Counter, idf: dict, log_corpus_size: float) -> tuple[dict, list[float]]:
     """One text's TF-IDF weights (one dict over all orders) and their per-order norms."""
     vec = {}
-    norm = [0.0] * max_n
+    norm = [0.0] * NGRAM_ORDERS
     for ngram, term_freq in counts.items():
         weight = vec[ngram] = term_freq * idf.get(ngram, log_corpus_size)
         norm[len(ngram) - 1] += weight**2
     return vec, [math.sqrt(x) for x in norm]
 
 
-def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: int = NGRAM_ORDERS) -> list[float]:
+def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[float]:
     if not eval_set.items:
         raise InputError("CIDEr needs at least one item")
     if len(eval_set.items) == 1:
         warnings.warn("CIDEr over a single item: document frequency degenerates and the score is 0", stacklevel=2)
 
-    cand_counts = [_stemmed_ngram_counts(item.candidate, max_n) for item in eval_set.items]
-    ref_counts = [[_stemmed_ngram_counts(r, max_n) for r in item.references] for item in eval_set.items]
+    cand_counts = [_stemmed_ngram_counts(item.candidate) for item in eval_set.items]
+    ref_counts = [[_stemmed_ngram_counts(r) for r in item.references] for item in eval_set.items]
 
     # A document is one item's reference set; an n-gram in none of them gets log N.
     doc_freq: Counter = Counter()
@@ -145,12 +145,12 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: in
 
     scores: list[float] = []
     for (cand, cand_len), refs in zip(cand_counts, ref_counts):
-        cand_vec, cand_norm = _tfidf(cand, idf, log_corpus_size, max_n)
-        per_n_total = [0.0] * max_n
+        cand_vec, cand_norm = _tfidf(cand, idf, log_corpus_size)
+        per_n_total = [0.0] * NGRAM_ORDERS
         for ref, ref_len in refs:
-            ref_vec, ref_norm = _tfidf(ref, idf, log_corpus_size, max_n)
+            ref_vec, ref_norm = _tfidf(ref, idf, log_corpus_size)
             # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped.
-            dot = [0.0] * max_n
+            dot = [0.0] * NGRAM_ORDERS
             if cider_d:
                 for ngram, weight in cand_vec.items():
                     if ngram in ref_vec:
@@ -162,10 +162,10 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False, max_n: in
                     if ngram in ref_vec:
                         dot[len(ngram) - 1] += weight * ref_vec[ngram]
                 penalty = 1.0
-            for n in range(max_n):
+            for n in range(NGRAM_ORDERS):
                 if cand_norm[n] != 0.0 and ref_norm[n] != 0.0:
                     per_n_total[n] += dot[n] / (cand_norm[n] * ref_norm[n]) * penalty
-        mean_over_n = sum(total / len(refs) for total in per_n_total) / max_n
+        mean_over_n = sum(total / len(refs) for total in per_n_total) / NGRAM_ORDERS
         scores.append(mean_over_n * CIDER_SCALE)
     return scores
 

@@ -29,25 +29,16 @@ _WS = re.compile(r"\s+")
 _GRID = tuple(Fraction(k, MATCH_CAP) for k in range(MATCH_CAP + 1))
 
 
-def normalize(text: str, *, drop_articles: bool = False) -> str:
+def normalize(text: str) -> str:
     """Lowercase, strip token-edge punctuation, collapse whitespace."""
-    tokens = []
-    for token in _WS.split(text.lower().strip()):
-        token = token.strip(string.punctuation)
-        if not token:
-            continue
-        if drop_articles and token in _ARTICLES:
-            continue
-        tokens.append(token)
-    return " ".join(tokens)
+    return " ".join(filter(None, [token.strip(string.punctuation) for token in _WS.split(text.lower().strip())]))
 
 
 def _forms(text: str) -> tuple[str, str]:
-    """``(loose, exact)``: ``normalize(text)`` and ``normalize(text, drop_articles=True)``.
+    """``(loose, exact)``: ``normalize(text)``, and that without the articles.
 
-    One ``normalize`` call; its tokens hold no whitespace, so splitting the
-    loose form on spaces gives them back, and dropping the articles yields
-    the exact form.
+    The loose form's tokens hold no whitespace, so splitting it on spaces
+    gives them back, and dropping the articles yields the exact form.
     """
     loose = normalize(text)
     return loose, " ".join(t for t in loose.split(" ") if t not in _ARTICLES)

@@ -82,14 +82,6 @@ class GenerationOutcome:
     attempts_used: int
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    n_captions: int
-    n_covered_images: int
-    n_records: int
-    n_exhausted: int
-
-
 # A match starts at a digit or at q/a (only qQaA match (?i)[qa]); the
 # lookahead lets the regex engine skip every other position without trying
 # the optional numbering group there.
@@ -229,8 +221,11 @@ def generate_corpus(
     resume: bool = True,
     clock: Clock | None = None,
     client: AssistantClient | None = None,
-) -> RunSummary:
-    """Generate records for a caption list into a JSONL file.
+) -> dict[str, int]:
+    """Generate records for a caption list into a JSONL file; return the run's counts.
+
+    The counts are ``n_captions``, ``n_covered_images`` (resumed ones
+    included), ``n_records`` written this run and ``n_exhausted`` captions.
 
     Output order equals caption input order at any worker count, and a
     failed or interrupted run starts no further caption, as :func:`_in_order`
@@ -278,9 +273,4 @@ def generate_corpus(
     except Cap2qaError as failure:
         log.error("run aborted: %s (partial output kept at %s)", failure, out_path)
         raise
-    return RunSummary(
-        n_captions=len(captions),
-        n_covered_images=len(covered_images),
-        n_records=n_records,
-        n_exhausted=n_exhausted,
-    )
+    return {"n_captions": len(captions), "n_covered_images": len(covered_images), "n_records": n_records, "n_exhausted": n_exhausted}

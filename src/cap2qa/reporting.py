@@ -16,7 +16,7 @@ from datetime import datetime
 from json.encoder import encode_basestring
 
 from . import __version__ as _version
-from .corpus import _open_input, as_kind, load_json, read_field
+from .corpus import _open_input, as_kind, load_json, read_field, utf8_text
 from .errors import InputError
 
 _DISPLAY_NAMES = {
@@ -134,6 +134,15 @@ def load_report(path: str) -> dict:
         raise InputError(f"{path}: not a cap2qa report ({type(exc).__name__}: {exc})") from exc
     if not report["details"]:
         del report["details"]
+    # Both formats print the report, so a string UTF-8 cannot encode fails here, naming its top-level key.
+    for key, value in report.items():
+        pending = [value]
+        while pending:
+            value = pending.pop()
+            if isinstance(value, str):
+                utf8_text(value, path, repr(key))
+            elif isinstance(value, (dict, list)):
+                pending += [*value, *value.values()] if isinstance(value, dict) else value
     # An input digest is a string and a metric a number; a bool is neither.
     for section, kinds, kind_name in (("inputs", (str,), "a string"), ("metrics", (int, float), "a number")):
         for key, value in report[section].items():

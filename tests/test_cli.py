@@ -14,8 +14,8 @@ import yaml
 import cap2qa
 from cap2qa import cli, generator
 from cap2qa.cli import main
-from cap2qa.corpus import CaptionRecord, read_instructions
-from cap2qa.llm_client import prompt_hash
+from cap2qa.corpus import CaptionRecord, load_coco_captions, read_instructions
+from cap2qa.llm_client import BackendSpec, MockScript, prompt_hash
 from cap2qa.promptkit import default_prompt_config, render
 
 from conftest import write_caption_file, write_instance_file, write_jsonl
@@ -74,6 +74,19 @@ class TestGenerate:
         assert report["metrics"]["n_records"] == 2
         assert report["metrics"]["n_covered_images"] == 2
         assert report["metrics"]["n_exhausted"] == 0
+
+    def test_report_metrics_are_what_generate_corpus_returns(self, tmp_path):
+        entries = [(1, 10, "A cat sits."), (2, 10, "A cat sleeps."), (3, 11, "A dog runs.")]
+        captions = write_caption_file(tmp_path / "captions.json", entries)
+        responses = ["Question: What sits?\nAnswer: A cat.", "no pairs here", "Question: What runs?\nAnswer: A dog."]
+        script = write_jsonl(tmp_path / "script.jsonl", hash_script_rows(zip(entries, responses)))
+        report = tmp_path / "report.json"
+        argv = ["generate", "--captions", str(captions), "--out", str(tmp_path / "cli.jsonl"), "--backend", "mock"]
+        assert main([*argv, "--script", str(script), "--retry", "1", "--report", str(report)]) == 0
+        config = generator.GeneratorConfig(BackendSpec(kind="mock", script=MockScript.from_file(script)), retry=1)
+        counts = generator.generate_corpus(load_coco_captions(captions), config, tmp_path / "api.jsonl")
+        assert counts == {"n_captions": 3, "n_covered_images": 2, "n_records": 2, "n_exhausted": 1}
+        assert json.loads(report.read_text(encoding="utf-8"))["metrics"] == counts
 
     def test_missing_captions_file_is_exit_1(self, tmp_path):
         script = write_jsonl(tmp_path / "s.jsonl", [{"response_text": "unused"}])
@@ -362,6 +375,23 @@ class TestStats:
         assert metrics["n_records"] == 1
         assert metrics["avg_answer_words"] == pytest.approx(3.0)
 
+    def test_strict_streams_its_records(self, generated, capsys, monkeypatch):
+        out, _ = generated
+        seen = []
+        count = cli.dataset_stats
+        monkeypatch.setattr(cli, "dataset_stats", lambda records: seen.append(records) or count(records))
+        assert main(["stats", "--dataset", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["metrics"]["n_records"] == 2
+        assert not isinstance(seen[0], (list, tuple))
+
+    def test_strict_names_a_bad_last_line(self, generated, caplog):
+        out, _ = generated
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write('{"image_id": 1}\n')
+        code, lines = run_main(caplog, "stats", "--dataset", out)
+        assert code == 1
+        assert lines[-1].startswith(f"{out}:3: ")
+
     def test_strict_rejects_foreign_schema(self, tmp_path):
         data = write_jsonl(tmp_path / "foreign.jsonl", [{"image": 1, "answer": "x"}])
         assert main(["stats", "--dataset", str(data)]) == 1
@@ -392,6 +422,19 @@ class TestReportCommand:
             capsys.readouterr()
             assert run_main(caplog, "report", "--in", path, "--format", "json")[0] == 0
             assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+    # A saved report that UTF-8 cannot print fails before either format prints anything.
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    def test_a_lone_surrogate_in_a_saved_report_is_exit_1(self, tmp_path, caplog, capsys, fmt):
+        path = tmp_path / "report.json"
+        assert run_main(caplog, *write_field_inputs(tmp_path, "eval-vqa"), "--report", path)[0] == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["details"]["per_item"][0]["question_id"] = "q\ud83d"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, lines = run_main(caplog, "report", "--in", path, "--format", fmt)
+        assert (code, capsys.readouterr().out) == (1, "")
+        assert lines[-1] == f"{path}: 'details' holds a lone surrogate '\\ud83d' at index 1"
 
     # The report is encoded whole before --report is opened, so a report that
     # cannot be encoded leaves the one from an earlier run as it was.

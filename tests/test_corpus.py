@@ -10,6 +10,7 @@ from cap2qa.corpus import (
     InstructionRecord,
     Provenance,
     dataset_stats,
+    iter_instructions,
     iter_jsonl,
     load_coco_captions,
     load_json,
@@ -165,6 +166,14 @@ class TestInstructionRoundTrip:
         out.write_text(record_to_line(make_record()) + "\n{oops\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"out\.jsonl:2: "):
             read_instructions(out)
+
+    def test_iter_instructions_validates_each_record_as_it_is_read(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text(record_to_line(make_record()) + "\n{}\n", encoding="utf-8")
+        records = iter_instructions(out)
+        assert next(records) == make_record()
+        with pytest.raises(InputError, match=r"out\.jsonl:2: missing 'provenance'"):
+            next(records)
 
     def test_missing_field_rejected(self, tmp_path):
         obj = json.loads(record_to_line(make_record()))

@@ -202,10 +202,10 @@ class TestGenerateCorpus:
         summary = generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
         records = read_instructions(out)
         assert [r.source_caption_ids[0] for r in records] == [0, 1, 2, 3, 4, 5]
-        assert summary.n_records == 6
-        assert summary.n_captions == 6
-        assert summary.n_covered_images == 6
-        assert summary.n_exhausted == 0
+        assert summary["n_records"] == 6
+        assert summary["n_captions"] == 6
+        assert summary["n_covered_images"] == 6
+        assert summary["n_exhausted"] == 0
 
     def test_exhausted_counted_not_written(self, tmp_path):
         captions = [caption(cid=0, text="first"), caption(cid=1, image_id=11, text="second")]
@@ -215,8 +215,8 @@ class TestGenerateCorpus:
         cfg.retry = 1
         out = tmp_path / "out.jsonl"
         summary = generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
-        assert summary.n_exhausted == 1
-        assert summary.n_records == 1
+        assert summary["n_exhausted"] == 1
+        assert summary["n_records"] == 1
         assert [r.source_caption_ids[0] for r in read_instructions(out)] == [1]
 
     def test_resume_skips_covered(self, tmp_path):
@@ -233,8 +233,8 @@ class TestGenerateCorpus:
         summary = generate_corpus(captions, cfg, out, resume=True, clock=FixedClock(NOW))
         records = read_instructions(out)
         assert [r.source_caption_ids[0] for r in records] == [0, 1]
-        assert summary.n_records == 1  # only the new caption this run
-        assert summary.n_covered_images == 2  # including the resumed one
+        assert summary["n_records"] == 1  # only the new caption this run
+        assert summary["n_covered_images"] == 2  # including the resumed one
 
     def test_no_resume_overwrites(self, tmp_path):
         captions = [caption(cid=0)]
@@ -265,7 +265,7 @@ class TestGenerateCorpus:
         cfg.backend = BackendSpec(kind="mock", script=MockScript((), both))
         summary = generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
         assert [r.source_caption_ids[0] for r in read_instructions(out)] == [0, 1]
-        assert summary.n_records == 1
+        assert summary["n_records"] == 1
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         captions = [caption(cid=i, image_id=100 + i, text=f"unique text {i}") for i in range(20)]
@@ -299,7 +299,7 @@ class TestGenerateCorpus:
         by_hash = scripted_by_caption(captions, [f"Question: Q{i}?\nAnswer: A{i}." for i in range(6)], cfg)
         cfg.backend = BackendSpec(kind="mock", script=MockScript((), by_hash))
         summary = generate_corpus(captions, cfg, tmp_path / "out.jsonl", clock=FixedClock(NOW))
-        assert summary.n_records == 6
+        assert summary["n_records"] == 6
         assert threads == {threading.get_ident()}
 
     # In the calling thread the window holds one caption: the failure of
@@ -490,7 +490,7 @@ class TestPoolWindow:
         # window was submitted: memory stays bounded.
         assert at_release == [True, True, window]
         assert submitted == list(range(len(captions)))
-        assert summary.n_records == len(captions)
+        assert summary["n_records"] == len(captions)
         assert out.read_bytes() == b"".join(lines)
 
 
@@ -520,7 +520,7 @@ class TestTornTail:
         with caplog.at_level(logging.WARNING, logger="cap2qa.corpus"):
             summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full
-        assert summary.n_records == written
+        assert summary["n_records"] == written
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == [f"resume: dropped an unterminated last line of {torn} ({dropped} bytes){before}"]
 
@@ -574,7 +574,7 @@ class TestTornTail:
         torn.write_bytes(b"".join(lines[:line]) + lines[line][:kept])
         summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full.read_bytes()
-        assert summary.n_records == written
+        assert summary["n_records"] == written
 
     # Each record of caption 1 is longer than 64 KiB; torn deep inside its
     # second line, the caption is regenerated whole.
@@ -592,7 +592,7 @@ class TestTornTail:
         torn.write_bytes(lines[0] + lines[1] + lines[2][: 1 << 15])
         summary = generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == full.read_bytes()
-        assert summary.n_records == 2
+        assert summary["n_records"] == 2
 
     # A finished corpus cut at every byte offset and resumed. Captions get 2,
     # 1, 3, 1, 2 and 3 records of 226 bytes each, and captions 0 and 1, and 3

@@ -93,6 +93,22 @@ def test_load_rejects_a_wrongly_typed_value_naming_file_and_key(tmp_path, sectio
     assert str(info.value) == f"{path}: {section}['a'] must be {kind}, got {json.dumps(value)}"
 
 
+@pytest.mark.parametrize(
+    "key, change, index",
+    [
+        ("command", {"command": "eval-vqa\ud83d"}, 8),
+        ("inputs", {"inputs": {"pred\ud83d.jsonl": "ab" * 32}}, 4),
+        ("details", {"details": {"per_item": [{"question_id": "q1", "score": ["1/3", {"note\ud83d": 1}]}]}}, 4),
+    ],
+)
+def test_load_rejects_a_lone_surrogate_naming_file_and_key(tmp_path, key, change, index):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report(**change)), encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        load_report(path)
+    assert str(info.value) == f"{path}: {key!r} holds a lone surrogate '\\ud83d' at index {index}"
+
+
 # Every JSON leaf: control and non-ASCII text, big and negative ints, and
 # floats including nan, inf and -0.0.
 JSON_LEAVES = (
