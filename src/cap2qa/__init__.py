@@ -26,7 +26,7 @@ from .eval_hallucination import (
     default_lexicon,
     extract_objects,
 )
-from .eval_vqa import VqaItem, acc_score, evaluate, pacc_score
+from .eval_vqa import acc_score, evaluate, pacc_score
 from .filters import FilterRule, default_rules, filter_artifacts
 from .generator import GeneratorConfig, generate_corpus, parse_qas
 from .llm_client import AssistantClient, AssistantRequest, BackendSpec, MockScript
@@ -54,7 +54,6 @@ __all__ = [
     "Provenance",
     "QAPair",
     "SystemClock",
-    "VqaItem",
     "acc_score",
     "bleu",
     "build_lexicon",

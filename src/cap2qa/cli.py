@@ -41,7 +41,7 @@ from .corpus import (
 from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, InputError, RuntimeFailure
 from .eval_caption import CaptionEvalSet, CaptionItem, bleu, cider
 from .eval_hallucination import AnswerRecord, build_lexicon, chair_eval, default_lexicon
-from .eval_vqa import VqaItem, evaluate
+from .eval_vqa import evaluate
 from .filters import load_rules
 from .generator import GeneratorConfig, generate_corpus
 from .llm_client import BackendSpec, MockScript
@@ -73,6 +73,7 @@ SETTINGS = {
 }
 # The settings that are text, not paths: the backend gets them, and the report and the records hold them.
 TEXT_SETTINGS = ("base_url", "model")
+PATH_SETTINGS = ("cache_dir", "rules", "prompt", "script")
 
 
 def _read_jsonl(path: str) -> list[tuple[str, dict]]:
@@ -129,15 +130,26 @@ def _clock(args: argparse.Namespace) -> Clock:
 def _settings(args: argparse.Namespace) -> dict:
     """The generate settings that were given: config file, then environment, then flags.
 
-    Each text setting is checked for UTF-8, and the backend for its kind,
-    where it is read, so the error names its source.
+    Each text setting is checked for UTF-8, each path for a non-empty file
+    name, and the backend for its kind, where it is read, so the error
+    names its source.
     """
     settings: dict = {}
 
     def put(key: str, value, where: str, name: str) -> None:
         if key == "backend" and value not in BACKENDS:
             raise InputError(f"{where}: {name} must be {' or '.join(BACKENDS)}, got {value!r}")
-        settings[key] = utf8_text(value, where, name) if key in TEXT_SETTINGS else value
+        if key in TEXT_SETTINGS:
+            utf8_text(value, where, name)
+        elif key in PATH_SETTINGS:
+            if not value:
+                raise InputError(f"{where}: {name} must not be empty")
+            # A flag's value came from argv through surrogateescape and always encodes; a config string may not.
+            try:
+                os.fsencode(value)
+            except UnicodeEncodeError as exc:
+                raise InputError(f"{where}: {name} is not a file name: it holds {value[exc.start]!r} at index {exc.start}") from exc
+        settings[key] = value
 
     if args.config:
         file_config = load_yaml(args.config) or {}
@@ -270,7 +282,7 @@ def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str,
 
 def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
-    items: dict[str, VqaItem] = {}
+    predictions: dict[str, str] = {}
     n_ignored = 0
     for where, row in _read_jsonl(args.pred):
         qid = _read_id(row, QUESTION_KEYS, where, str)
@@ -279,22 +291,21 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
             log.warning("prediction for unknown question %s ignored", qid)
             n_ignored += 1
             continue
-        if qid in items:
+        if qid in predictions:
             raise InputError(f"{where}: repeated id {qid!r}")
-        items[qid] = VqaItem(question_id=qid, prediction=prediction, references=references[qid])
-    missing = references.keys() - items.keys()
+        predictions[qid] = prediction
+    missing = references.keys() - predictions.keys()
     if missing:
         raise InputError(f"{args.pred}: no prediction for questions {sorted(missing)[:5]}")
 
     strict = args.mode == "acc"
-    result = evaluate(list(items.values()), strict=strict, raw=args.raw_match)
+    result = evaluate(predictions, references, strict=strict, raw=args.raw_match)
     key = "acc" if strict else "pacc"
     metrics = {key: float(result.mean_score), "n_items": len(result.per_item), "n_ignored": n_ignored}
     details = {
         "mean_exact": f"{result.mean_score.numerator}/{result.mean_score.denominator}",
         "per_item": [
-            {"question_id": s.question_id, "score": f"{s.score.numerator}/{s.score.denominator}"}
-            for s in result.per_item
+            {"question_id": qid, "score": f"{score.numerator}/{score.denominator}"} for qid, score in result.per_item.items()
         ],
     }
     return [args.pred, args.gt], metrics, details

@@ -284,7 +284,10 @@ def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str
 
     id_to_name: dict[int, str] = {}
     for where, cat in _objects(instances_path, categories, "categories"):
-        id_to_name[read_field(cat, "id", where, int)] = read_field(cat, "name", where)
+        category_id = read_field(cat, "id", where, int)
+        if category_id in id_to_name:
+            raise InputError(f"{where}: repeated id {category_id}")
+        id_to_name[category_id] = read_field(cat, "name", where)
 
     positives: dict[int, set[str]] = {}
     for where, img in _objects(instances_path, images, "images"):

@@ -104,10 +104,10 @@ def extract_objects(text: str, lexicon: Lexicon) -> frozenset:
 def _parse_lexicon(categories_text: str, synonyms_text: str, categories_name: str, synonyms_name: str) -> Lexicon:
     """Build a lexicon from the text of a category file and of a synonym file.
 
-    Lines are lowercased; blank lines and ``#`` comments are skipped. A
-    synonym line is comma-separated: the category, then extra surface forms;
-    a line with no extra form is ignored. An error starts with the
-    ``name:line:`` of the offending line.
+    Lines are lowercased; blank lines and ``#`` comments are skipped, and a
+    category must remain. A synonym line is comma-separated: the category,
+    then extra surface forms; a line with no extra form is ignored. An error
+    starts with the ``name:line:`` of the offending line.
     """
 
     def entries(text: str, name: str) -> list[tuple[str, str]]:
@@ -115,6 +115,8 @@ def _parse_lexicon(categories_text: str, synonyms_text: str, categories_name: st
         return [(where, line) for where, line in lines if line and not line.startswith("#")]
 
     categories = entries(categories_text, categories_name)
+    if not categories:
+        raise InputError(f"{categories_name}: no categories")
     forms = []
     for where, line in entries(synonyms_text, synonyms_name):
         parts = [p.strip() for p in line.split(",") if p.strip()]

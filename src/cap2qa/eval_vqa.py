@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import string
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,33 +75,17 @@ def acc_score(prediction: str, references: list[str] | tuple[str, ...], *, raw: 
 
 
 @dataclass(frozen=True)
-class VqaItem:
-    question_id: str
-    prediction: str
-    references: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.references:
-            raise ValueError(f"item {self.question_id}: references must be non-empty")
-
-
-@dataclass(frozen=True)
-class VqaItemScore:
-    question_id: str
-    score: Fraction
-
-
-@dataclass(frozen=True)
 class VqaResult:
     mean_score: Fraction
-    per_item: tuple[VqaItemScore, ...]
+    per_item: dict[str, Fraction]
 
 
-def evaluate(items: list[VqaItem], *, strict: bool = False, raw: bool = False) -> VqaResult:
-    """Score a batch; mean over items as an exact rational.
+def evaluate(predictions: Mapping[str, str], references: Mapping[str, Sequence[str]], *, strict: bool = False, raw: bool = False) -> VqaResult:
+    """Score each prediction against its id's references; ``per_item`` keeps ``predictions`` order.
 
     ``strict=False`` gives partial credit by containment, ``strict=True``
-    is exact-equality accuracy. An empty batch scores 0.
+    is exact-equality accuracy; the mean is an exact rational, 0 for no
+    predictions. An id with missing or empty references is an :class:`InputError`.
     """
     memo: dict[str, tuple[str, str]] = {}
 
@@ -112,16 +96,15 @@ def evaluate(items: list[VqaItem], *, strict: bool = False, raw: bool = False) -
         return found
 
     forms = _raw_forms if raw else memo_forms
-    seen = set()
-    scores: list[VqaItemScore] = []
+    per_item: dict[str, Fraction] = {}
     total = 0
-    for item in items:
-        if item.question_id in seen:
-            raise InputError(f"repeated id {item.question_id!r}")
-        seen.add(item.question_id)
-        matched = _match_count(item.prediction, item.references, strict, forms)
+    for question_id, prediction in predictions.items():
+        refs = references.get(question_id)
+        if not refs:
+            raise InputError(f"question {question_id!r} has no references")
+        matched = _match_count(prediction, refs, strict, forms)
         total += matched
-        scores.append(VqaItemScore(item.question_id, _GRID[matched]))
+        per_item[question_id] = _GRID[matched]
     # The mean of the k_i / MATCH_CAP, as one rational instead of a Fraction sum.
-    mean = Fraction(total, MATCH_CAP * len(scores)) if scores else Fraction(0)
-    return VqaResult(mean_score=mean, per_item=tuple(scores))
+    mean = Fraction(total, MATCH_CAP * len(per_item)) if per_item else Fraction(0)
+    return VqaResult(mean_score=mean, per_item=per_item)

@@ -214,6 +214,27 @@ class TestGenerate:
         assert code == 0
         assert json.loads(report.read_text())["metrics"]["n_records"] == 1
 
+    # --model beats CAP2QA_MODEL, which beats model: in --config; the winner
+    # stamps every record and the report.
+    @pytest.mark.parametrize(
+        "env, flag, winner",
+        [(None, None, "from-config"), ("from-env", None, "from-env"), ("from-env", "from-flag", "from-flag")],
+        ids=["config", "env-over-config", "flag-over-env"],
+    )
+    def test_model_setting_reaches_records_and_report(self, tmp_path, monkeypatch, mock_generate, env, flag, winner):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("model: from-config\n", encoding="utf-8")
+        if env:
+            monkeypatch.setenv("CAP2QA_MODEL", env)
+        else:
+            monkeypatch.delenv("CAP2QA_MODEL", raising=False)
+        report = tmp_path / "r.json"
+        argv = [*mock_generate, "--config", config, "--report", report, *(["--model", flag] if flag else [])]
+        assert main([str(a) for a in argv]) == 0
+        records = read_instructions(tmp_path / "o.jsonl")
+        assert records and {r.provenance.model_id for r in records} == {winner}
+        assert json.loads(report.read_text())["details"]["model_id"] == winner
+
 
 class TestEvalChair:
     def test_end_to_end(self, tmp_path):
@@ -578,8 +599,9 @@ class TestInputErrors:
             ("cat\ndog\n", "cat, pet\n\ndog, pet\n", "syns.txt:3", "surface form 'pet' maps to both 'cat' and 'dog'"),
             ("table\ndining table\n", "dining table, table\n", "syns.txt:1", "surface form 'table' maps to both 'table' and 'dining table'"),
             ("cat\n", "cat, kitty, ...\n", "syns.txt:1", "empty surface form for category 'cat'"),
+            ("# none yet\n\n", "", "cats.txt", "no categories"),
         ],
-        ids=["duplicate-category", "empty-category", "unknown-category", "shared-synonym", "synonym-is-category", "empty-synonym"],
+        ids=["duplicate-category", "empty-category", "unknown-category", "shared-synonym", "synonym-is-category", "empty-synonym", "comments-only"],
     )
     def test_bad_lexicon_line_is_exit_1_naming_it(self, tmp_path, caplog, categories, synonyms, where, message):
         instances = write_instance_file(tmp_path / "inst.json", categories={1: "cat"}, annotations=[(10, 1)])
@@ -590,6 +612,19 @@ class TestInputErrors:
         lexicon = ["--categories", tmp_path / "cats.txt", "--synonyms", tmp_path / "syns.txt"]
         code, lines = run_main(caplog, *argv, *lexicon)
         assert (code, lines) == (1, [f"{tmp_path / where}: {message}"])
+
+    # With the second name kept, "cat" would count as hallucinated.
+    def test_repeated_category_id_is_exit_1(self, tmp_path, caplog):
+        instances = tmp_path / "inst.json"
+        payload = {
+            "images": [{"id": 10}],
+            "categories": [{"id": 1, "name": "cat"}, {"id": 1, "name": "dog"}],
+            "annotations": [{"image_id": 10, "category_id": 1}],
+        }
+        instances.write_text(json.dumps(payload), encoding="utf-8")
+        answers = write_jsonl(tmp_path / "a.jsonl", [{"image_id": 10, "answer": "a cat and a dog"}])
+        code, lines = run_main(caplog, "eval-chair", "--answers", answers, "--instances", instances)
+        assert (code, lines) == (1, [f"{instances}: categories[1]: repeated id 1"])
 
     def test_repeated_gt_question_id_is_exit_1(self, tmp_path, caplog):
         gt = write_jsonl(
@@ -694,6 +729,38 @@ class TestInputErrors:
         code, lines = run_main(caplog, *mock_generate, "--no-resume", *([flag, "gpt\udcff"] if flag else []))
         assert (code, lines) == (1, [f"{source} holds a lone surrogate '\\udcff' at index 3"])
         assert out.read_bytes() == before
+
+    # An empty path setting would mean the working directory (or no file):
+    # exit 1 naming its source, before --out is touched or a cache entry written.
+    @pytest.mark.parametrize("key", ["cache_dir", "rules", "prompt", "script"])
+    @pytest.mark.parametrize("source", ["command line", "config"])
+    def test_empty_path_setting_is_exit_1_before_out_is_touched(self, tmp_path, caplog, monkeypatch, mock_generate, key, source):
+        monkeypatch.chdir(tmp_path)
+        assert main([str(a) for a in mock_generate]) == 0
+        out = tmp_path / "o.jsonl"
+        before = out.read_bytes()
+        flag = "--" + key.replace("_", "-")
+        if source == "config":
+            config = tmp_path / "cfg.yaml"
+            config.write_text(f'{key}: ""\n', encoding="utf-8")
+            extra, expected = ["--config", config], f"{config}: {key!r} must not be empty"
+        else:
+            extra, expected = [flag, ""], f"command line: {flag} must not be empty"
+        before_files = sorted(os.listdir(tmp_path))
+        caplog.clear()
+        code, lines = run_main(caplog, *mock_generate, "--no-resume", *extra)
+        assert (code, lines) == (1, [expected])
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == before_files
+
+    # A config string may hold a lone surrogate, which no file name can.
+    @pytest.mark.parametrize("key, value", [("cache_dir", "c\ud83d"), ("rules", "r\ud83d.yaml")])
+    def test_path_setting_that_is_not_a_file_name_is_exit_1_naming_the_key(self, tmp_path, caplog, mock_generate, key, value):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"{key}: {json.dumps(value)}\n", encoding="utf-8")
+        code, lines = run_main(caplog, *mock_generate, "--config", config)
+        assert (code, lines) == (1, [f"{config}: {key!r} is not a file name: it holds '\\ud83d' at index 1"])
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_unknown_backend_flag_is_exit_1_naming_it(self, caplog, mock_generate):
         argv = list(mock_generate)

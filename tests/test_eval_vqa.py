@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cap2qa import eval_vqa
 from cap2qa.errors import InputError
-from cap2qa.eval_vqa import VqaItem, acc_score, evaluate, normalize, pacc_score
+from cap2qa.eval_vqa import acc_score, evaluate, normalize, pacc_score
 
 
 class TestNormalize:
@@ -65,31 +65,29 @@ class TestAccScore:
 
 
 class TestEvaluate:
-    def items(self):
-        return [
-            VqaItem("q1", "a fish and a boat", ("fish", "boat", "water")),
-            VqaItem("q2", "nothing useful", ("cat", "dog", "bird")),
-        ]
+    predictions = {"q1": "a fish and a boat", "q2": "nothing useful"}
+    references = {"q1": ("fish", "boat", "water"), "q2": ("cat", "dog", "bird")}
 
     def test_mean_is_exact_rational(self):
-        result = evaluate(self.items())
+        result = evaluate(self.predictions, self.references)
         assert result.mean_score == Fraction(1, 3)  # (2/3 + 0) / 2
+        assert result.per_item == {"q1": Fraction(2, 3), "q2": Fraction(0)}
 
     def test_strict_mode(self):
-        result = evaluate([VqaItem("q", "fish", ("fish", "x", "y"))], strict=True)
+        result = evaluate({"q": "fish"}, {"q": ("fish", "x", "y")}, strict=True)
         assert result.mean_score == Fraction(1, 3)
 
-    def test_duplicate_question_id(self):
-        items = [VqaItem("q", "a", ("a",)), VqaItem("q", "b", ("b",))]
-        with pytest.raises(InputError, match="^repeated id 'q'$"):
-            evaluate(items)
+    def test_per_item_follows_the_predictions_order(self):
+        result = evaluate({"q2": "cat", "q1": "fish"}, self.references)
+        assert list(result.per_item) == ["q2", "q1"]
 
     def test_empty_batch(self):
-        assert evaluate([]).mean_score == Fraction(0)
+        assert evaluate({}, self.references).mean_score == Fraction(0)
 
-    def test_empty_references_rejected(self):
-        with pytest.raises(ValueError):
-            VqaItem("q", "a", ())
+    @pytest.mark.parametrize("references", [{"q": ()}, {}], ids=["empty", "missing"])
+    def test_empty_references_rejected(self, references):
+        with pytest.raises(InputError, match="^question 'q' has no references$"):
+            evaluate({"q": "a"}, references)
 
 
 words = st.text(alphabet="bcdfgkmpqvwxz", min_size=1, max_size=8)
@@ -149,33 +147,32 @@ messy_phrases = st.builds(
 
 @st.composite
 def batches(draw):
-    """Items whose predictions and references repeat strings from a small pool.
+    """``(predictions, references)`` whose strings repeat from a small pool.
 
     A pick may upper-case its phrase, so a batch also holds strings that
     differ in case alone.
     """
     pool = st.sampled_from(draw(st.lists(messy_phrases, min_size=1, max_size=8)))
     pick = st.builds(lambda phrase, upper: phrase.upper() if upper else phrase, pool, st.booleans())
-    return [
-        VqaItem(f"q{i}", draw(pick), tuple(draw(st.lists(pick, min_size=1, max_size=10))))
-        for i in range(draw(st.integers(0, 6)))
-    ]
+    ids = [f"q{i}" for i in range(draw(st.integers(0, 6)))]
+    predictions = {qid: draw(pick) for qid in ids}
+    references = {qid: tuple(draw(st.lists(pick, min_size=1, max_size=10))) for qid in ids}
+    return predictions, references
 
 
 @settings(max_examples=400, deadline=None)
-@given(items=batches(), strict=st.booleans(), raw=st.booleans())
-def test_evaluate_equals_the_literal_definition(items, strict, raw):
-    expected = [
-        Fraction(min(3, sum(literal_matches(item.prediction, ref, strict=strict, raw=raw) for ref in item.references)), 3)
-        for item in items
-    ]
-    result = evaluate(items, strict=strict, raw=raw)
-    assert [(s.question_id, s.score) for s in result.per_item] == [
-        (item.question_id, score) for item, score in zip(items, expected)
-    ]
-    assert result.mean_score == (sum(expected, Fraction(0)) / len(expected) if expected else Fraction(0))
+@given(batch=batches(), strict=st.booleans(), raw=st.booleans())
+def test_evaluate_equals_the_literal_definition(batch, strict, raw):
+    predictions, references = batch
+    expected = {
+        qid: Fraction(min(3, sum(literal_matches(pred, ref, strict=strict, raw=raw) for ref in references[qid])), 3)
+        for qid, pred in predictions.items()
+    }
+    result = evaluate(predictions, references, strict=strict, raw=raw)
+    assert list(result.per_item.items()) == list(expected.items())
+    assert result.mean_score == (sum(expected.values(), Fraction(0)) / len(expected) if expected else Fraction(0))
     single = acc_score if strict else pacc_score
-    assert [single(item.prediction, item.references, raw=raw) for item in items] == expected
+    assert {qid: single(pred, references[qid], raw=raw) for qid, pred in predictions.items()} == expected
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -188,12 +185,10 @@ def test_evaluate_normalizes_each_distinct_string_once(monkeypatch, strict):
         return real(text, **kwargs)
 
     monkeypatch.setattr(eval_vqa, "normalize", counting)
-    items = [
-        VqaItem("q1", "A fish", ("fish", "the fish", "boat")),
-        VqaItem("q2", "fish", ("fish", "A fish", "boat", "boat")),
-    ]
-    evaluate(items, strict=strict)
+    predictions = {"q1": "A fish", "q2": "fish"}
+    references = {"q1": ("fish", "the fish", "boat"), "q2": ("fish", "A fish", "boat", "boat")}
+    evaluate(predictions, references, strict=strict)
     assert calls == Counter({"A fish": 1, "fish": 1, "the fish": 1, "boat": 1})
     calls.clear()
-    evaluate(items, strict=strict, raw=True)
+    evaluate(predictions, references, strict=strict, raw=True)
     assert not calls

@@ -275,6 +275,22 @@ class TestHttp:
         with pytest.raises(RuntimeFailure, match=r"returned an unexpected body \(content is int, not a string\)$"):
             client.complete(request())
 
+    def test_rate_limit_is_acquired_before_every_post_retries_included(self, monkeypatch):
+        client, session = http_client([FakeResponse(503), FakeResponse(200, ok_body("ok"))], rate_limit_rpm=1)
+        posts_before_acquire = []
+        acquire = client.limiter.acquire
+
+        def counting():
+            posts_before_acquire.append(len(session.calls))
+            acquire()
+
+        monkeypatch.setattr(client.limiter, "acquire", counting)
+        assert client.complete(request()) == "ok"
+        assert posts_before_acquire == [0, 1]
+        # The backoff after the 503, then the limiter's wait for the rest of the 60 s window.
+        backoff = RetryPolicy().delay(1, random.Random(0))
+        assert client.clock.sleeps == [backoff, pytest.approx(60.0 - backoff)]
+
     def test_lone_surrogate_in_the_reply_is_a_backend_failure_and_is_not_cached(self, tmp_path):
         client, _ = http_client([FakeResponse(200, ok_body("Answer: \ud83d!"))], cache_dir=tmp_path / "cache")
         with pytest.raises(RuntimeFailure) as info:
