@@ -74,6 +74,8 @@ SETTINGS = {
 # The settings that are text, not paths: the backend gets them, and the report and the records hold them.
 TEXT_SETTINGS = ("base_url", "model")
 PATH_SETTINGS = ("cache_dir", "rules", "prompt", "script")
+# Every flag of every command that names a file or directory, by its argparse dest.
+PATH_FLAGS = ("captions", "out", "config", "answers", "instances", "categories", "synonyms", "pred", "gt", "refs", "dataset", "in_path", "report", *PATH_SETTINGS)
 
 
 def _read_jsonl(path: str) -> list[tuple[str, dict]]:
@@ -89,7 +91,7 @@ def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths
     """Hash the inputs and write the run report to ``--report`` or stdout; the file is opened only once the report is encoded."""
     report = {
         "command": args.command,
-        "inputs": {_path_text(path): sha256_file(path) for path in input_paths if path},
+        "inputs": {_path_text(path): sha256_file(path) for path in input_paths if path is not None},
         "metrics": metrics,
         "started_at": started.isoformat(),
         "finished_at": clock.now().isoformat(),
@@ -98,11 +100,19 @@ def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths
     if details:
         report["details"] = details
     rendered = report_render(report, "json")
-    if args.report:
+    if args.report is not None:
         Path(args.report).write_bytes(rendered.encode("utf-8"))
         log.info("report written to %s", args.report)
     else:
         sys.stdout.write(rendered)
+
+
+def _check_path_flags(args: argparse.Namespace) -> None:
+    """Fail before anything is read or written when a path flag is empty: it would name the working directory or no file."""
+    for dest in PATH_FLAGS:
+        if getattr(args, dest, None) == "":
+            flag = "--in" if dest == "in_path" else "--" + dest.replace("_", "-")
+            raise InputError(f"command line: {flag} must not be empty")
 
 
 def _check_report_path(path: str) -> None:
@@ -151,7 +161,7 @@ def _settings(args: argparse.Namespace) -> dict:
                 raise InputError(f"{where}: {name} is not a file name: it holds {value[exc.start]!r} at index {exc.start}") from exc
         settings[key] = value
 
-    if args.config:
+    if args.config is not None:
         file_config = load_yaml(args.config) or {}
         if not isinstance(file_config, dict):
             raise InputError(f"{args.config}: config must be a mapping")
@@ -172,7 +182,7 @@ def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
     settings = _settings(args)
     script, base_url = settings.pop("script", None), settings.pop("base_url", None)
     if settings.pop("backend", "http") == "mock":
-        if not script:
+        if script is None:
             raise InputError("mock backend requires --script")
         backend = BackendSpec(kind="mock", script=MockScript.from_file(script))
     else:
@@ -204,9 +214,9 @@ def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
 
 
 def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
-    if args.categories:
+    if args.categories is not None:
         lexicon = build_lexicon(args.categories, args.synonyms)
-    elif args.synonyms:
+    elif args.synonyms is not None:
         raise InputError("--synonyms requires --categories")
     else:
         lexicon = default_lexicon()
@@ -228,26 +238,7 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
         "n_answers": result.n_answers,
         "n_hallucinating": result.n_hallucinating,
     }
-    # Many answers share an object set, so each distinct set is sorted once and its list reused.
-    sorted_sets: dict[frozenset, list[str]] = {}
-
-    def names(objects: frozenset) -> list[str]:
-        listed = sorted_sets.get(objects)
-        if listed is None:
-            listed = sorted_sets[objects] = sorted(objects)
-        return listed
-
-    details = {
-        "per_answer": [
-            {
-                "image_id": b.image_id,
-                "mentioned": names(b.mentioned),
-                "hallucinated": names(b.hallucinated),
-                "true_positives": names(b.true_positives),
-            }
-            for b in result.per_answer
-        ]
-    }
+    details = {"per_answer": result.per_answer}
     return [args.answers, args.instances, args.categories, args.synonyms], metrics, details
 
 
@@ -439,8 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_path_flags(args)
         clock = _clock(args)
-        if args.report:
+        if args.report is not None:
             _check_report_path(args.report)
         started = clock.now()
         # A command returns its report's (input paths, metrics, details); ``report`` returns None.

@@ -16,6 +16,7 @@ per corpus:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .corpus import ObjectAnnotation, read_text
@@ -56,7 +57,6 @@ class Lexicon:
 
     categories: tuple[str, ...]
     synonyms: dict[str, frozenset] = field(default_factory=dict)
-    surface_to_category: dict[tuple, str] = field(init=False)
     # Surface forms with naive plurals folded in (raw last token, then +"s", then +"es"),
     # and for each first token the widths of its folded forms, widest first.
     folded: dict[tuple, str] = field(init=False, repr=False, compare=False)
@@ -74,7 +74,6 @@ class Lexicon:
         widths: dict[str, set] = {}
         for key in folded:
             widths.setdefault(key[0], set()).add(len(key))
-        object.__setattr__(self, "surface_to_category", surface_map)
         object.__setattr__(self, "folded", folded)
         object.__setattr__(self, "widths", {t: tuple(sorted(w, reverse=True)) for t, w in widths.items()})
 
@@ -153,21 +152,14 @@ class AnswerRecord:
 
 
 @dataclass(frozen=True)
-class AnswerBreakdown:
-    image_id: int
-    mentioned: frozenset
-    hallucinated: frozenset
-    true_positives: frozenset
-
-
-@dataclass(frozen=True)
 class ChairResult:
     chair_s: float
     recall: float
     recall_without_hallucination: float
     n_answers: int
     n_hallucinating: int
-    per_answer: tuple[AnswerBreakdown, ...]
+    # The report's rows: {"image_id", "mentioned", "hallucinated", "true_positives"}, each object list sorted and shared by equal sets.
+    per_answer: list[dict]
 
 
 def chair_eval(
@@ -180,7 +172,9 @@ def chair_eval(
     Zero denominators (no answers, or no present objects anywhere) yield
     0.0 for the affected rate rather than an error.
     """
-    breakdowns: list[AnswerBreakdown] = []
+    rows: list[dict] = []
+    # Many answers share an object set, so each distinct set is sorted once and its list reused.
+    names = cache(sorted)
     n_hallucinating = 0
     tp_total = 0
     tp_clean_total = 0
@@ -192,13 +186,13 @@ def chair_eval(
         mentioned = extract_objects(answer.text, lexicon)
         hallucinated = mentioned & annotation.negative_categories
         true_positives = mentioned & annotation.positive_categories
-        breakdowns.append(
-            AnswerBreakdown(
-                image_id=answer.image_id,
-                mentioned=mentioned,
-                hallucinated=hallucinated,
-                true_positives=true_positives,
-            )
+        rows.append(
+            {
+                "image_id": answer.image_id,
+                "mentioned": names(mentioned),
+                "hallucinated": names(hallucinated),
+                "true_positives": names(true_positives),
+            }
         )
         positive_total += len(annotation.positive_categories)
         tp_total += len(true_positives)
@@ -217,5 +211,5 @@ def chair_eval(
         recall_without_hallucination=recall_wo_h,
         n_answers=n_answers,
         n_hallucinating=n_hallucinating,
-        per_answer=tuple(breakdowns),
+        per_answer=rows,
     )

@@ -279,6 +279,66 @@ class TestEvalChair:
         assert payload["metrics"]["chair_s"] == 0.0
 
 
+# --- the paper's loop: generate a corpus, then audit it with eval-chair -------
+
+# Per caption: (caption_id, image_id, caption, the image's COCO categories, the
+# (kind, question, answer) pairs of its reply). A "hallucinated" answer names a
+# category absent from the image, which no default rule checks; an "artifact"
+# names one too, but a default rule rejects it.
+AUDIT_CAPTIONS = [
+    (1, 10, "A cat sleeps on a sofa.", ("cat", "couch"), [
+        ("grounded", "What is sleeping?", "A cat."),
+        ("hallucinated", "What is beside the sofa?", "A dog and a cat."),
+        ("artifact", "What does the caption describe?", "A dog on a sofa."),  # mentions-caption
+    ]),
+    (2, 11, "A man rides a horse.", ("person", "horse"), [
+        ("grounded", "Who rides the horse?", "A man on a pony."),
+        ("artifact", "What is behind the horse?", "Not specified, maybe a truck."),  # not-specified-excuse
+        ("artifact", "What breed is the horse?", "I cannot tell it from a cow."),  # meta-refusal
+    ]),
+    (3, 12, "A cake on a dining table.", ("cake", "dining table"), [
+        ("hallucinated", "What is on the table?", "A cake and a bottle."),
+        ("grounded", "Where is the cake?", "On a table."),
+        ("artifact", "", "A bottle."),  # empty-field
+    ]),
+    (4, 13, "Two birds on a bench.", ("bird", "bench"), [
+        ("grounded", "How many birds are there?", "Two."),
+        ("hallucinated", "What is under the bench?", "An umbrella."),
+    ]),
+]
+
+
+def test_eval_chair_audits_a_generated_corpus(tmp_path, capsys):
+    entries = [entry[:3] for entry in AUDIT_CAPTIONS]
+    captions = write_caption_file(tmp_path / "captions.json", entries)
+    replies = ["".join(f"Question: {q}\nAnswer: {a}\n" for _, q, a in pairs) for *_, pairs in AUDIT_CAPTIONS]
+    script = write_jsonl(tmp_path / "script.jsonl", hash_script_rows(zip(entries, replies)))
+    names = sorted({name for *_, objects, _ in AUDIT_CAPTIONS for name in objects})
+    instances = write_instance_file(
+        tmp_path / "inst.json",
+        categories=dict(enumerate(names, start=1)),
+        annotations=[(image_id, names.index(name) + 1) for _, image_id, _, objects, _ in AUDIT_CAPTIONS for name in objects],
+    )
+    out = tmp_path / "out.jsonl"
+    generate = ["generate", "--captions", captions, "--out", out, "--backend", "mock", "--script", script, "--retry", "1", "--fixed-clock", "2024-05-01T00:00:00+00:00"]
+    assert main([str(a) for a in generate]) == 0
+    capsys.readouterr()
+
+    kept = [(kind, q, a) for *_, pairs in AUDIT_CAPTIONS for kind, q, a in pairs if kind != "artifact"]
+    artifacts = {(q, a) for *_, pairs in AUDIT_CAPTIONS for kind, q, a in pairs if kind == "artifact"}
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(r["question"], r["answer"]) for r in records] == [(q, a) for _, q, a in kept]
+    assert not artifacts & {(r["question"], r["answer"]) for r in records}
+
+    assert main(["eval-chair", "--answers", str(out), "--instances", str(instances)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    n_hallucinating = sum(kind == "hallucinated" for kind, _, _ in kept)
+    assert report["metrics"]["n_answers"] == len(kept) == 7
+    assert report["metrics"]["n_hallucinating"] == n_hallucinating == 3
+    assert report["metrics"]["chair_s"] == n_hallucinating / len(kept)
+    assert [bool(row["hallucinated"]) for row in report["details"]["per_answer"]] == [kind == "hallucinated" for kind, _, _ in kept]
+
+
 class TestEvalVqa:
     def test_end_to_end(self, tmp_path, capsys):
         gt = write_jsonl(
@@ -1099,6 +1159,24 @@ class TestUnreadableInputs:
         out.mkdir()
         code, lines = run_main(caplog, *argv)
         assert code == 2 and lines[-1].startswith(f"cannot open {out}: ")
+
+    # An empty path flag would name the working directory or no file: exit 1
+    # naming the flag, before any input is read or --out or --report is touched.
+    @pytest.mark.parametrize(
+        "command, flag",
+        INPUT_FLAGS
+        + [("generate", "--out"), ("generate", "--cache-dir")]
+        + [(command, "--report") for command in ("generate", "eval-chair", "eval-vqa", "eval-caption", "stats")],
+    )
+    def test_empty_path_flag_is_exit_1_naming_it(self, tmp_path, caplog, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        argv = argv_naming(tmp_path, command, flag, "")
+        if command == "stats" and flag != "--dataset":
+            argv += ["--dataset", write_jsonl(tmp_path / "empty.jsonl", [])]
+        before = sorted(os.listdir(tmp_path))
+        code, lines = run_main(caplog, *argv)
+        assert (code, lines) == (1, [f"command line: {flag} must not be empty"])
+        assert sorted(os.listdir(tmp_path)) == before
 
     # A --report that cannot be a file fails before the command starts: no
     # backend call, and --out is never opened.

@@ -1,4 +1,6 @@
 import re
+from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,13 +12,13 @@ from cap2qa.corpus import ObjectAnnotation
 from cap2qa.errors import InputError
 from cap2qa.eval_hallucination import (
     AnswerRecord,
+    ChairResult,
     Lexicon,
     build_lexicon,
     chair_eval,
     default_lexicon,
     extract_objects,
 )
-from cap2qa.eval_caption import tokenize
 
 
 def annotation(image_id, positives, vocabulary):
@@ -39,8 +41,9 @@ LEXICON = Lexicon(
 
 
 def category_of(lexicon, surface):
-    """The category that ``surface``, as a whole, names in ``lexicon``, or None."""
-    return lexicon.surface_to_category.get(tuple(tokenize(surface)))
+    """The one category that ``extract_objects`` finds in ``surface``, or None."""
+    found = extract_objects(surface, lexicon)
+    return next(iter(found)) if len(found) == 1 else None
 
 
 class TestLexicon:
@@ -192,10 +195,16 @@ class TestChairEval:
 
     def test_mention_both_sets(self, lexicon):
         result = chair_eval([AnswerRecord(1, "cat bird")], self.annotations(), lexicon)
-        entry = result.per_answer[0]
-        assert entry.mentioned == {"cat", "bird"}
-        assert entry.hallucinated == {"bird"}
-        assert entry.true_positives == {"cat"}
+        assert result.per_answer == [{"image_id": 1, "mentioned": ["bird", "cat"], "hallucinated": ["bird"], "true_positives": ["cat"]}]
+
+    def test_only_chair_s_is_reported_not_chair_i(self, lexicon):
+        # Rohrbach et al. (2018) also define CHAIR_i, hallucinated mentions over
+        # all mentions: 1 of 3 here, against a CHAIR_s of 1 answer in 2.
+        result = chair_eval([AnswerRecord(1, "cat bird"), AnswerRecord(1, "cat")], self.annotations(), lexicon)
+        rows = result.per_answer
+        chair_i = Fraction(sum(len(row["hallucinated"]) for row in rows), sum(len(row["mentioned"]) for row in rows))
+        assert (result.chair_s, chair_i) == (0.5, Fraction(1, 3))
+        assert [f.name for f in fields(ChairResult) if f.name.startswith("chair")] == ["chair_s"]
 
     def test_missing_annotation_raises(self, lexicon):
         with pytest.raises(InputError, match="^no object annotation for image_id 99$"):

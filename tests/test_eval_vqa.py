@@ -192,3 +192,52 @@ def test_evaluate_normalizes_each_distinct_string_once(monkeypatch, strict):
     calls.clear()
     evaluate(predictions, references, strict=strict, raw=True)
     assert not calls
+
+
+# --- how acc_score differs from the reference VQA scorer ----------------------
+# The VQA accuracy of Antol et al. (ICCV 2015), as the public vqaEval.py computes
+# it: each of the ten annotators is left out in turn, the prediction scores
+# min(1, matches among the other nine / 3), and the ten scores are averaged.
+
+
+def official_vqa_accuracy(prediction, references):
+    scores = [
+        min(Fraction(1), Fraction(sum(other == prediction for other in references[:i] + references[i + 1 :]), 3))
+        for i in range(len(references))
+    ]
+    return sum(scores) / len(scores)
+
+
+# Two entries of vqaEval.py's answer processing, which it applies to the
+# prediction and which the released annotations' answers have already had.
+OFFICIAL_PROCESSING = {"two": "2", "isnt": "isn't"}
+
+
+def official_processed(text):
+    return " ".join(OFFICIAL_PROCESSING.get(word, word) for word in text.split())
+
+
+class TestReferenceScorerDifferences:
+    @pytest.mark.parametrize("k, official", [(1, Fraction(3, 10)), (2, Fraction(6, 10)), (3, Fraction(9, 10))])
+    def test_matches_count_over_all_references_not_leave_one_out(self, k, official):
+        references = ["cat"] * k + ["dog"] * (10 - k)
+        assert official_vqa_accuracy("cat", references) == official
+        assert acc_score("cat", references) == Fraction(k, 3)
+
+    def test_no_number_word_mapping(self):
+        references = ["two"] * 10
+        assert official_vqa_accuracy(official_processed("2"), [official_processed(r) for r in references]) == 1
+        assert acc_score("2", references) == 0
+
+    def test_no_contraction_mapping(self):
+        references = ["isnt"] * 10
+        assert official_vqa_accuracy(official_processed("isn't"), [official_processed(r) for r in references]) == 1
+        assert acc_score("isn't", references) == 0
+
+    def test_pacc_containment_has_no_reference_scorer(self):
+        # Exact match, official or strict, gives a longer prediction nothing;
+        # PAcc credits each reference that it contains.
+        references = ["cat"] * 10
+        assert official_vqa_accuracy("a black cat", references) == 0
+        assert acc_score("a black cat", references) == 0
+        assert pacc_score("a black cat", references) == 1
