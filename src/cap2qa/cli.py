@@ -19,6 +19,7 @@ import argparse
 import logging
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
@@ -326,7 +327,12 @@ def _cmd_eval_caption(args: argparse.Namespace, clock: Clock) -> tuple:
 
     eval_set = CaptionEvalSet(items=list(items.values()))
     bleu_scores = bleu(eval_set)
-    cider_score = cider(eval_set, cider_d=args.cider_d)
+    # A warning from scoring (a one-item CIDEr) is logged as one line, like the CLI's own warnings.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        cider_score = cider(eval_set, cider_d=args.cider_d)
+    for warning in caught:
+        log.warning("%s", warning.message)
 
     metrics = {
         "bleu_1": bleu_scores[0],

@@ -18,6 +18,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import InputError
 from .porter import stem
@@ -54,12 +55,14 @@ class CaptionEvalSet:
     items: list[CaptionItem]
 
 
-def _ngram_counts(tokens: list[str]) -> Counter:
-    """Counts of every n-gram, n = 1..NGRAM_ORDERS, keyed by order then first position."""
-    counts: Counter = Counter()
-    for n in range(1, NGRAM_ORDERS + 1):
-        counts.update(zip(*[tokens[i:] for i in range(n)]))
-    return counts
+def _ngrams(t: tuple[str, ...]):
+    """Every n-gram, n = 1..4 (NGRAM_ORDERS), by order then first position."""
+    return chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]), zip(t, t[1:], t[2:], t[3:]))
+
+
+def _ngram_counts(t: tuple[str, ...]) -> Counter:
+    """Counts of every n-gram, keyed by order then first position."""
+    return Counter(_ngrams(t))
 
 
 def bleu(eval_set: CaptionEvalSet) -> list[float]:
@@ -76,25 +79,23 @@ def bleu(eval_set: CaptionEvalSet) -> list[float]:
     candidate_len = 0
     reference_len = 0
     for item in eval_set.items:
-        cand = tokenize(item.candidate)
-        refs = [tokenize(r) for r in item.references]
+        cand = tuple(tokenize(item.candidate))
+        # A repeated reference changes neither the closest length nor any clip, so each token sequence is used once.
+        refs = list(dict.fromkeys(tuple(tokenize(r)) for r in item.references))
         candidate_len += len(cand)
         # Closest reference length; ties go to the shorter reference.
         reference_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
 
-        # Each candidate n-gram is clipped to its highest count in one reference.
+        for n in range(NGRAM_ORDERS):
+            guess[n] += max(0, len(cand) - n)
+        # Each candidate n-gram is clipped to its highest count in one reference; one in no reference adds 0.
         cand_counts = _ngram_counts(cand)
-        clip = dict.fromkeys(cand_counts, 0)
-        for ref in refs:
-            ref_counts = _ngram_counts(ref)
-            for ngram, best in clip.items():
-                count = ref_counts.get(ngram, 0)
-                if count > best:
-                    clip[ngram] = count
-        for n in range(1, NGRAM_ORDERS + 1):
-            guess[n - 1] += max(0, len(cand) - n + 1)
-        for ngram, count in cand_counts.items():
-            correct[len(ngram) - 1] += min(count, clip[ngram])
+        ref_ngrams = [list(_ngrams(r)) for r in refs]
+        for ngram in set().union(*ref_ngrams).intersection(cand_counts):
+            count = cand_counts[ngram]
+            if count > 1:
+                count = min(count, max(r.count(ngram) for r in ref_ngrams))
+            correct[len(ngram) - 1] += count
 
     if candidate_len > 0 and candidate_len < reference_len:
         brevity_penalty = math.exp(1.0 - reference_len / candidate_len)
@@ -112,19 +113,13 @@ def bleu(eval_set: CaptionEvalSet) -> list[float]:
     return scores
 
 
-def _stemmed_ngram_counts(text: str) -> tuple[Counter, int]:
-    tokens = [_stem_cached(t) for t in tokenize(text)]
-    return _ngram_counts(tokens), len(tokens)
-
-
-def _tfidf(counts: Counter, idf: dict, log_corpus_size: float) -> tuple[dict, list[float]]:
-    """One text's TF-IDF weights (one dict over all orders) and their per-order norms."""
-    vec = {}
+def _tfidf_norms(counts: Counter, idf: dict, log_corpus_size: float) -> list[float]:
+    """Per-order norms of one text's TF-IDF weights: term frequency times idf, or log N for an unseen n-gram."""
+    idf_get = idf.get
     norm = [0.0] * NGRAM_ORDERS
     for ngram, term_freq in counts.items():
-        weight = vec[ngram] = term_freq * idf.get(ngram, log_corpus_size)
-        norm[len(ngram) - 1] += weight**2
-    return vec, [math.sqrt(x) for x in norm]
+        norm[len(ngram) - 1] += (term_freq * idf_get(ngram, log_corpus_size)) ** 2
+    return [math.sqrt(x) for x in norm]
 
 
 def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[float]:
@@ -133,39 +128,55 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[f
     if len(eval_set.items) == 1:
         warnings.warn("CIDEr over a single item: document frequency degenerates and the score is 0", stacklevel=2)
 
-    cand_counts = [_stemmed_ngram_counts(item.candidate) for item in eval_set.items]
-    ref_counts = [[_stemmed_ngram_counts(r) for r in item.references] for item in eval_set.items]
+    # Each distinct text is stemmed once, and each distinct stemmed sequence counted once:
+    # texts that differ only in case or punctuation share one Counter.
+    stemmed: dict[str, tuple[str, ...]] = {}
+    counted: dict[tuple[str, ...], Counter] = {}
+    for item in eval_set.items:
+        for text in (item.candidate, *item.references):
+            if text not in stemmed:
+                tokens = stemmed[text] = tuple(map(_stem_cached, tokenize(text)))
+                if tokens not in counted:
+                    counted[tokens] = _ngram_counts(tokens)
 
     # A document is one item's reference set; an n-gram in none of them gets log N.
     doc_freq: Counter = Counter()
-    for refs in ref_counts:
-        doc_freq.update(set().union(*(counts for counts, _ in refs)))
+    for item in eval_set.items:
+        doc_freq.update(set().union(*(counted[stemmed[r]] for r in item.references)))
     log_corpus_size = math.log(len(eval_set.items))
     idf = {ngram: log_corpus_size - math.log(max(1, df)) for ngram, df in doc_freq.items()}
+    # Each distinct stemmed sequence's counts, length and per-order TF-IDF norms.
+    sequences = {tokens: (counts, len(tokens), _tfidf_norms(counts, idf, log_corpus_size)) for tokens, counts in counted.items()}
+    idf_get = idf.get
 
     scores: list[float] = []
-    for (cand, cand_len), refs in zip(cand_counts, ref_counts):
-        cand_vec, cand_norm = _tfidf(cand, idf, log_corpus_size)
+    for item in eval_set.items:
+        cand, cand_len, cand_norm = sequences[stemmed[item.candidate]]
+        cand_vec = {ngram: term_freq * idf_get(ngram, log_corpus_size) for ngram, term_freq in cand.items()}
         per_n_total = [0.0] * NGRAM_ORDERS
-        for ref, ref_len in refs:
-            ref_vec, ref_norm = _tfidf(ref, idf, log_corpus_size)
-            # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped.
+        for ref_text in item.references:
+            ref, ref_len, ref_norm = sequences[stemmed[ref_text]]
+            ref_get = ref.get
+            # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped;
+            # a shared one is in a reference, so it has an idf.
             dot = [0.0] * NGRAM_ORDERS
             if cider_d:
                 for ngram, weight in cand_vec.items():
-                    if ngram in ref_vec:
-                        other = ref_vec[ngram]
+                    term_freq = ref_get(ngram)
+                    if term_freq is not None:
+                        other = term_freq * idf[ngram]
                         dot[len(ngram) - 1] += min(weight, other) * other
                 penalty = math.exp(-(float(cand_len - ref_len) ** 2) / (2 * CIDER_D_SIGMA**2))
             else:
                 for ngram, weight in cand_vec.items():
-                    if ngram in ref_vec:
-                        dot[len(ngram) - 1] += weight * ref_vec[ngram]
+                    term_freq = ref_get(ngram)
+                    if term_freq is not None:
+                        dot[len(ngram) - 1] += weight * (term_freq * idf[ngram])
                 penalty = 1.0
             for n in range(NGRAM_ORDERS):
                 if cand_norm[n] != 0.0 and ref_norm[n] != 0.0:
                     per_n_total[n] += dot[n] / (cand_norm[n] * ref_norm[n]) * penalty
-        mean_over_n = sum(total / len(refs) for total in per_n_total) / NGRAM_ORDERS
+        mean_over_n = sum(total / len(item.references) for total in per_n_total) / NGRAM_ORDERS
         scores.append(mean_over_n * CIDER_SCALE)
     return scores
 

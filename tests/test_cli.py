@@ -435,6 +435,16 @@ class TestEvalCaption:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == [f"1 images in {tmp_path / 'all.jsonl'} have no prediction and are ignored (first: [3])"]
 
+    def test_single_item_cider_warning_is_one_log_line(self, tmp_path):
+        refs = write_jsonl(tmp_path / "refs.jsonl", [{"image_id": 10, "captions": ["a cat on a mat"]}])
+        pred = write_jsonl(tmp_path / "pred.jsonl", [{"image_id": 10, "caption": "a cat sits on a mat"}])
+        proc = run_process("eval-caption", "--pred", pred, "--refs", refs)
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "WARNING cap2qa: CIDEr over a single item: document frequency degenerates and the score is 0"
+        ]
+        assert json.loads(proc.stdout)["metrics"]["cider"] == 0.0
+
 
 class TestStats:
     def test_strict_on_generated_corpus(self, generated, capsys):
@@ -580,6 +590,14 @@ def run_main(caplog, *argv):
     return code, [line for r in caplog.records for line in r.getMessage().splitlines()]
 
 
+def run_process(*argv):
+    """Run the CLI as ``python -m cap2qa.cli``, so its stderr is what a user sees."""
+    src = str(Path(cap2qa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [str(a) for a in argv]
+    return subprocess.run([sys.executable, "-m", "cap2qa.cli", *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.fixture
 def mock_generate(tmp_path):
     """Arguments of a valid mock-backend generate run, for error cases to extend."""
@@ -606,12 +624,7 @@ class TestInputErrors:
     def test_malformed_config_prints_one_stderr_line(self, tmp_path, mock_generate):
         config = tmp_path / "bad.yaml"
         config.write_text(BAD_YAML, encoding="utf-8")
-        src = str(Path(cap2qa.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [str(a) for a in (*mock_generate, "--config", config)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "cap2qa.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_process(*mock_generate, "--config", config)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             f"ERROR cap2qa: {config}: malformed YAML at line 2: expected ',' or ']', but got '<stream end>'"

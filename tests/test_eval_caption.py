@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from collections import Counter
 
 import pytest
@@ -328,3 +329,139 @@ def test_scores_equal_the_oracles(items):
     assert bleu(eval_set) == literal_bleu(items)
     assert cider_per_item(eval_set) == pytest.approx(oracle_cider(items), abs=1e-9)
     assert cider_per_item(eval_set, cider_d=True) == pytest.approx(oracle_cider_d(items), abs=1e-9)
+
+
+# --- the seed scorers, kept verbatim as a bit-for-bit oracle ---------------
+#
+# `bleu` and `cider_per_item` as of commit 106ece4, before they counted each
+# distinct text once. The faster scorers must return `==` lists: the same
+# float sums in the same order, not merely values within a tolerance.
+
+
+def seed_ngram_counts(tokens):
+    counts = Counter()
+    for n in range(1, 4 + 1):
+        counts.update(zip(*[tokens[i:] for i in range(n)]))
+    return counts
+
+
+def seed_bleu(eval_set):
+    correct = [0] * 4
+    guess = [0] * 4
+    candidate_len = 0
+    reference_len = 0
+    for item in eval_set.items:
+        cand = tokenize(item.candidate)
+        refs = [tokenize(r) for r in item.references]
+        candidate_len += len(cand)
+        reference_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+
+        cand_counts = seed_ngram_counts(cand)
+        clip = dict.fromkeys(cand_counts, 0)
+        for ref in refs:
+            ref_counts = seed_ngram_counts(ref)
+            for ngram, best in clip.items():
+                count = ref_counts.get(ngram, 0)
+                if count > best:
+                    clip[ngram] = count
+        for n in range(1, 4 + 1):
+            guess[n - 1] += max(0, len(cand) - n + 1)
+        for ngram, count in cand_counts.items():
+            correct[len(ngram) - 1] += min(count, clip[ngram])
+
+    if candidate_len > 0 and candidate_len < reference_len:
+        brevity_penalty = math.exp(1.0 - reference_len / candidate_len)
+    else:
+        brevity_penalty = 1.0
+
+    precisions = [correct[n] / guess[n] if guess[n] > 0 else 0.0 for n in range(4)]
+    scores = []
+    for k in range(1, 4 + 1):
+        if any(p == 0.0 for p in precisions[:k]):
+            scores.append(0.0)
+            continue
+        log_mean = sum(math.log(p) for p in precisions[:k]) / k
+        scores.append(brevity_penalty * math.exp(log_mean))
+    return scores
+
+
+def seed_stemmed_ngram_counts(text):
+    tokens = [stem(t) for t in tokenize(text)]
+    return seed_ngram_counts(tokens), len(tokens)
+
+
+def seed_tfidf(counts, idf, log_corpus_size):
+    vec = {}
+    norm = [0.0] * 4
+    for ngram, term_freq in counts.items():
+        weight = vec[ngram] = term_freq * idf.get(ngram, log_corpus_size)
+        norm[len(ngram) - 1] += weight**2
+    return vec, [math.sqrt(x) for x in norm]
+
+
+def seed_cider_per_item(eval_set, *, cider_d=False):
+    cand_counts = [seed_stemmed_ngram_counts(item.candidate) for item in eval_set.items]
+    ref_counts = [[seed_stemmed_ngram_counts(r) for r in item.references] for item in eval_set.items]
+
+    doc_freq = Counter()
+    for refs in ref_counts:
+        doc_freq.update(set().union(*(counts for counts, _ in refs)))
+    log_corpus_size = math.log(len(eval_set.items))
+    idf = {ngram: log_corpus_size - math.log(max(1, df)) for ngram, df in doc_freq.items()}
+
+    scores = []
+    for (cand, cand_len), refs in zip(cand_counts, ref_counts):
+        cand_vec, cand_norm = seed_tfidf(cand, idf, log_corpus_size)
+        per_n_total = [0.0] * 4
+        for ref, ref_len in refs:
+            ref_vec, ref_norm = seed_tfidf(ref, idf, log_corpus_size)
+            dot = [0.0] * 4
+            if cider_d:
+                for ngram, weight in cand_vec.items():
+                    if ngram in ref_vec:
+                        other = ref_vec[ngram]
+                        dot[len(ngram) - 1] += min(weight, other) * other
+                penalty = math.exp(-(float(cand_len - ref_len) ** 2) / (2 * 6.0**2))
+            else:
+                for ngram, weight in cand_vec.items():
+                    if ngram in ref_vec:
+                        dot[len(ngram) - 1] += weight * ref_vec[ngram]
+                penalty = 1.0
+            for n in range(4):
+                if cand_norm[n] != 0.0 and ref_norm[n] != 0.0:
+                    per_n_total[n] += dot[n] / (cand_norm[n] * ref_norm[n]) * penalty
+        mean_over_n = sum(total / len(refs) for total in per_n_total) / 4
+        scores.append(mean_over_n * 10.0)
+    return scores
+
+
+# Texts come from a small per-corpus pool, so references repeat within an
+# item and across items, and a candidate may copy one of its own references
+# (as written, or differing only in case and punctuation). Empty and
+# punctuation-only texts have no n-grams at all.
+NO_TOKENS = ("", "...", "!?")
+pool_texts = st.one_of(texts, st.sampled_from(NO_TOKENS), texts.map(lambda t: t.capitalize() + "."))
+
+
+@st.composite
+def repeating_corpora(draw):
+    pool = draw(st.lists(pool_texts, min_size=1, max_size=8))
+    items = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        refs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+        copied = st.sampled_from(refs)
+        candidate = draw(st.one_of(copied, copied.map(str.upper), pool_texts))
+        items.append((candidate, refs))
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=st.one_of(repeating_corpora(), caption_corpora))
+def test_scores_equal_the_seed_scorers_bit_for_bit(items):
+    eval_set = corpus(*items)
+    assert bleu(eval_set) == seed_bleu(eval_set)
+    with warnings.catch_warnings():
+        # A one-item corpus warns that its CIDEr degenerates; the scores must still agree.
+        warnings.simplefilter("ignore", UserWarning)
+        assert cider_per_item(eval_set) == seed_cider_per_item(eval_set)
+        assert cider_per_item(eval_set, cider_d=True) == seed_cider_per_item(eval_set, cider_d=True)
