@@ -8,11 +8,15 @@ the run.
 
 The corpus driver runs captions one at a time in the calling thread, or
 fans them out to a worker pool through a bounded reorder window of 64
-captions per worker, so that a caption in retry backoff does not idle the
-other workers; either way it writes output JSONL strictly in caption input
-order. A failed or interrupted run starts no further caption. The driver can
-resume an interrupted run by skipping captions already present in the
-output.
+captions per worker; either way it writes output JSONL strictly in caption
+input order. On the pool a caption whose HTTP call must back off parks
+instead of sleeping: its worker moves on, and the writer waits out the
+backoff when the caption reaches the head of the window, then hands it back
+to the pool to go on from the attempt where it stopped. So ``workers``
+bounds the requests in flight, and no worker sleeps through a backoff. A
+failed or interrupted run starts no further caption and resumes no parked
+one. The driver can resume an interrupted run by skipping captions already
+present in the output.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -39,7 +44,7 @@ from .corpus import (
 )
 from .errors import Cap2qaError, RuntimeFailure
 from .filters import FilterRule, check_rules, default_rules, filter_artifacts
-from .llm_client import AssistantClient, AssistantRequest, BackendSpec
+from .llm_client import AssistantClient, AssistantRequest, Backoff, BackendSpec, park_retries
 from .promptkit import PromptConfig, default_prompt_config, render
 
 log = logging.getLogger(__name__)
@@ -137,8 +142,25 @@ def generate_for_caption(
     clock = clock or SystemClock()
     client = client or make_client(config)
     request = config.request(render(config.prompt, caption).rendered)
-    for attempt in range(1, config.retry + 1):
-        report = filter_artifacts(parse_qas(client.complete(request)), config.rules)
+    return _attempts(caption, config, client, clock, request)
+
+
+def _attempts(caption, config, client, clock, request, first=1, reply=None) -> GenerationOutcome:
+    """:func:`generate_for_caption`'s loop from attempt ``first`` on.
+
+    ``reply()``, when given, stands in for attempt ``first``'s backend call.
+    A call that parks raises :class:`~cap2qa.llm_client.Backoff`; it leaves
+    here with a ``resume`` that goes on from the same attempt, so a resumed
+    caption does not enter :func:`generate_for_caption` again.
+    """
+    for attempt in range(first, config.retry + 1):
+        try:
+            text = reply() if reply else client.complete(request)
+        except Backoff as backoff:
+            backoff.resume = partial(_attempts, caption, config, client, clock, request, attempt, backoff.resume)
+            raise
+        reply = None
+        report = filter_artifacts(parse_qas(text), config.rules)
         if report.kept:
             records = [
                 InstructionRecord(
@@ -159,14 +181,22 @@ def generate_for_caption(
     return GenerationOutcome(records=[], attempts_used=config.retry)
 
 
-# With more than one worker, a caption sleeping in retry backoff holds the
-# head of the reorder window while the other workers serve the captions
-# behind it, until the window is full. The default RetryPolicy sleeps up to
+# With more than one worker, a caption parked in retry backoff holds the
+# head of the reorder window while the workers serve the captions behind it,
+# until the window is full. The default RetryPolicy backs off up to
 # 0.5 + 1 + 2 + 4 = 7.5 s in one backend call; 64 captions per worker keep the
-# other workers busy through that whenever a call takes more than about
-# 0.12 s, as calls to a hosted chat-completion API do, and still bound what
-# the window holds.
+# workers busy through that whenever a call takes more than about 0.12 s, as
+# calls to a hosted chat-completion API do, and still bound what the window
+# holds.
 _POOL_WINDOW_PER_WORKER = 64
+
+
+def _failed(future) -> bool:
+    """Whether ``future`` has raised something other than :class:`~cap2qa.llm_client.Backoff`."""
+    if not future.done() or future.cancelled():
+        return False
+    error = future.exception()
+    return error is not None and not isinstance(error, Backoff)
 
 
 def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[CaptionRecord, GenerationOutcome]]:
@@ -174,19 +204,25 @@ def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[Ca
 
     One worker calls ``run`` in the calling thread. More call it on a thread
     pool, through a reorder window of ``_POOL_WINDOW_PER_WORKER * workers``
-    captions. There the first :class:`Cap2qaError` stops submission and
-    cancels the queued captions; the captions that finished or were running
-    are still yielded, in order, and then that failure is raised, so the
-    partial output stays resumable. Any other exception, or closing the
-    generator early, also cancels the queue before the pool waits for the
-    running captions.
+    captions. The pool's threads park their HTTP retries
+    (:func:`~cap2qa.llm_client.park_retries`): a caption whose call raises
+    :class:`~cap2qa.llm_client.Backoff` keeps its place in the window and
+    frees its worker. When it reaches the head, this thread waits out what
+    is left of the backoff and submits its ``resume`` to the pool in its
+    place. The first :class:`Cap2qaError` stops submission and cancels the
+    queued captions; the captions that finished or were running are still
+    yielded, in order, and then that failure is raised, so the partial
+    output stays resumable. A parked caption is resumed only while no
+    caption has failed, and otherwise dropped. Any other exception, or
+    closing the generator early, also cancels the queue before the pool
+    waits for the running captions, and resumes no parked caption.
     """
     if workers == 1:
         for caption in todo:
             yield caption, run(caption)
         return
     window_size = _POOL_WINDOW_PER_WORKER * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers, initializer=park_retries) as pool:
         try:
             pending, window = iter(todo), deque()
             failure: Cap2qaError | None = None
@@ -201,6 +237,12 @@ def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[Ca
                     continue
                 try:
                     outcome = future.result()
+                except Backoff as backoff:
+                    if failure is None and not any(_failed(f) for _, f in window):
+                        backoff.wait()
+                        if not any(_failed(f) for _, f in window):
+                            window.appendleft((caption, pool.submit(backoff.resume)))
+                    continue
                 except Cap2qaError as exc:
                     if failure is None:
                         failure = exc

@@ -7,20 +7,27 @@ responses, either in order or keyed by the SHA-256 of the prompt text, which
 makes whole pipeline runs deterministic.
 
 Transient HTTP failures (timeouts, 429, 5xx) are retried with jittered
-exponential backoff; 401/403 are not. An optional on-disk cache keyed by
+exponential backoff; 401/403 are not. The backoff sleeps in the calling
+thread, except on a thread that called :func:`park_retries`: there the
+retry loop raises :class:`Backoff` instead, and whoever catches it waits
+and calls its ``resume``. The generator's worker pool parks this way, so a
+caption in backoff holds no worker. An optional on-disk cache keyed by
 :func:`cache_key` makes repeated runs idempotent, and a shared rate limiter
-caps network calls per minute across worker threads.
+caps network calls per minute across worker threads; its waits always stay
+in the calling thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import requests
@@ -193,9 +200,49 @@ class RetryPolicy:
     base_delay: float = 0.5
     max_delay: float = 60.0
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        for name in ("base_delay", "max_delay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
     def delay(self, attempt: int, rng: random.Random) -> float:
         # attempt is 1-based; full jitter on an exponential ramp, capped.
         return rng.uniform(0, min(self.max_delay, self.base_delay * 2 ** (attempt - 1)))
+
+
+class Backoff(Exception):
+    """An HTTP retry parked instead of sleeping in its thread.
+
+    ``until`` is when the retry is due on ``clock`` (the client's clock);
+    ``resume()`` makes the remaining attempts, starting with the next one,
+    and returns what the parked call would have returned. It raises
+    :class:`Backoff` again if it parks again.
+    """
+
+    def __init__(self, clock: Clock, until: float, resume):
+        super().__init__(f"retry due at {until:.3f}")
+        self.clock = clock
+        self.until = until
+        self.resume = resume
+
+    def wait(self) -> None:
+        """Sleep on the client's clock for what is left of the backoff."""
+        left = self.until - self.clock.monotonic()
+        if left > 0:
+            self.clock.sleep(left)
+
+
+# Per thread, so it reaches only the threads that asked for it: a pool that
+# parks sets it in each of its own threads as they start.
+_this_thread = threading.local()
+
+
+def park_retries() -> None:
+    """Make HTTP retries on the calling thread raise :class:`Backoff` instead of sleeping."""
+    _this_thread.parks = True
 
 
 class AssistantClient:
@@ -235,17 +282,18 @@ class AssistantClient:
                 return cached
 
         if self.backend.kind == "mock":
-            text = self.backend.script.next_for(request.prompt_text)
-        else:
-            text = self._complete_http(request)
+            return self._keep(key, self.backend.script.next_for(request.prompt_text))
+        return self._complete_http(request, key)
+
+    def _keep(self, key: str | None, text: str) -> str:
         if not text:
             raise RuntimeFailure("backend returned an empty response")
-
         if key is not None:
             self.cache.put(key, text)
         return text
 
-    def _complete_http(self, request: AssistantRequest) -> str:
+    def _complete_http(self, request: AssistantRequest, key: str | None, first: int = 1) -> str:
+        """Attempts ``first`` to ``max_attempts``; a parked retry resumes here at the next attempt."""
         url = self.backend.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
@@ -258,8 +306,7 @@ class AssistantClient:
             "max_tokens": request.max_output_tokens,
         }
 
-        last_problem = "no attempt made"
-        for attempt in range(1, self.retry.max_attempts + 1):
+        for attempt in range(first, self.retry.max_attempts + 1):
             if self.limiter:
                 self.limiter.acquire()
             try:
@@ -271,12 +318,16 @@ class AssistantClient:
                 if status in (401, 403):
                     raise RuntimeFailure(f"{url} rejected credentials (HTTP {status})")
                 if status == 200:
-                    return self._extract_text(response, url)
+                    return self._keep(key, self._extract_text(response, url))
                 if status not in RETRYABLE_STATUS:
                     raise RuntimeFailure(f"{url} returned HTTP {status}")
                 last_problem = f"HTTP {status}"
             if attempt < self.retry.max_attempts:
-                self.clock.sleep(self.retry.delay(attempt, self._rng))
+                delay = self.retry.delay(attempt, self._rng)
+                if getattr(_this_thread, "parks", False):
+                    resume = partial(self._complete_http, request, key, attempt + 1)
+                    raise Backoff(self.clock, self.clock.monotonic() + delay, resume)
+                self.clock.sleep(delay)
         raise RuntimeFailure(
             f"{url} unavailable after {self.retry.max_attempts} attempts ({last_problem})"
         )
