@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
@@ -81,6 +82,15 @@ PATH_FLAGS = ("captions", "out", "config", "answers", "instances", "categories",
 
 def _read_jsonl(path: str) -> list[tuple[str, dict]]:
     return list(iter_jsonl(path))
+
+
+def _id_rows(path: str, id_keys: tuple[str, ...], kind: type, value_keys: tuple[str, ...], value_kind: type = str) -> Iterator[tuple]:
+    """Yield ``(where, id, value)`` for each row of a JSONL file; an id that is text reaches the report, so it must be UTF-8."""
+    for where, row in _read_jsonl(path):
+        key = read_field(row, id_keys, where, kind)
+        if kind is str and not key.isascii():
+            utf8_text(key, where, repr(next(k for k in id_keys if k in row)))
+        yield where, key, read_field(row, value_keys, where, value_kind)
 
 
 def _path_text(path) -> str:
@@ -181,11 +191,14 @@ def _settings(args: argparse.Namespace) -> dict:
 
 def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
     settings = _settings(args)
+    # Every file the run reads, for the report to hash; the script only when the mock backend reads it.
+    input_paths = [args.captions, args.config, settings.get("rules"), settings.get("prompt")]
     script, base_url = settings.pop("script", None), settings.pop("base_url", None)
     if settings.pop("backend", "http") == "mock":
         if script is None:
             raise InputError("mock backend requires --script")
         backend = BackendSpec(kind="mock", script=MockScript.from_file(script))
+        input_paths.append(script)
     else:
         if not base_url:
             raise InputError(f"http backend requires --base-url or {ENV_BASE_URL}")
@@ -208,7 +221,7 @@ def _cmd_generate(args: argparse.Namespace, clock: Clock) -> tuple:
     log.info("generated %(n_records)d records over %(n_covered_images)d images (%(n_captions)d captions, %(n_exhausted)d exhausted retries)", counts)
 
     details = {"out": _path_text(args.out), "prompt_version": config.prompt.version_tag, "model_id": config.model_id}
-    return [args.captions], counts, details
+    return input_paths, counts, details
 
 
 # --- eval-chair ---------------------------------------------------------
@@ -224,11 +237,10 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
 
     annotations = {a.image_id: a for a in load_object_annotations(args.instances, lexicon.categories)}
     answers: list[AnswerRecord] = []
-    for where, row in _read_jsonl(args.answers):
-        image_id = read_field(row, IMAGE_KEYS, where, int)
+    for where, image_id, text in _id_rows(args.answers, IMAGE_KEYS, int, ("answer", "caption", "text")):
         if image_id not in annotations:
             raise InputError(f"{where}: no object annotation for image_id {image_id} in {args.instances}")
-        answers.append(AnswerRecord(image_id=image_id, text=read_field(row, ("answer", "caption", "text"), where)))
+        answers.append(AnswerRecord(image_id=image_id, text=text))
 
     result = chair_eval(answers, annotations, lexicon)
 
@@ -246,22 +258,12 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
 # --- eval-vqa -----------------------------------------------------------
 
 
-def _read_id(row: dict, keys: tuple[str, ...], where: str, kind: type):
-    """Read a row's id; one that is text reaches the report, so it must be UTF-8."""
-    key = read_field(row, keys, where, kind)
-    if kind is str and not key.isascii():
-        utf8_text(key, where, repr(next(k for k in keys if k in row)))
-    return key
-
-
 def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str, ...], kind: type) -> dict:
     """Map each id to its references; a single string is one reference, and an id may appear once."""
     refs: dict = {}
-    for where, row in _read_jsonl(path):
-        key = _read_id(row, id_keys, where, kind)
+    for where, key, value in _id_rows(path, id_keys, kind, value_keys, object):
         if key in refs:
             raise InputError(f"{where}: repeated id {key!r}")
-        value = read_field(row, value_keys, where, object)
         if type(value) is str:
             value = [value]
         elif type(value) is not list:
@@ -275,17 +277,16 @@ def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str,
 def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
     predictions: dict[str, str] = {}
-    n_ignored = 0
-    for where, row in _read_jsonl(args.pred):
-        qid = _read_id(row, QUESTION_KEYS, where, str)
-        prediction = read_field(row, ("prediction", "answer", "text"), where)
+    ignored = []
+    for where, qid, prediction in _id_rows(args.pred, QUESTION_KEYS, str, ("prediction", "answer", "text")):
         if qid not in references:
-            log.warning("prediction for unknown question %s ignored", qid)
-            n_ignored += 1
-            continue
-        if qid in predictions:
+            ignored.append(qid)
+        elif qid in predictions:
             raise InputError(f"{where}: repeated id {qid!r}")
-        predictions[qid] = prediction
+        else:
+            predictions[qid] = prediction
+    if ignored:
+        log.warning("%d predictions in %s have no question in %s and are ignored (first: %s)", len(ignored), args.pred, args.gt, ignored[:5])
     missing = references.keys() - predictions.keys()
     if missing:
         raise InputError(f"{args.pred}: no prediction for questions {sorted(missing)[:5]}")
@@ -293,7 +294,7 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     strict = args.mode == "acc"
     result = evaluate(predictions, references, strict=strict, raw=args.raw_match)
     key = "acc" if strict else "pacc"
-    metrics = {key: float(result.mean_score), "n_items": len(result.per_item), "n_ignored": n_ignored}
+    metrics = {key: float(result.mean_score), "n_items": len(result.per_item), "n_ignored": len(ignored)}
     details = {
         "mean_exact": f"{result.mean_score.numerator}/{result.mean_score.denominator}",
         "per_item": [
@@ -309,9 +310,7 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
 def _cmd_eval_caption(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.refs, IMAGE_KEYS, ("references", "captions", "caption"), int)
     items: dict[int, CaptionItem] = {}
-    for where, row in _read_jsonl(args.pred):
-        image_id = read_field(row, IMAGE_KEYS, where, int)
-        candidate = read_field(row, ("caption", "prediction", "text"), where)
+    for where, image_id, candidate in _id_rows(args.pred, IMAGE_KEYS, int, ("caption", "prediction", "text")):
         if image_id not in references:
             raise InputError(f"{where}: no references for image_id {image_id} in {args.refs}")
         if image_id in items:

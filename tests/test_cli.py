@@ -88,6 +88,23 @@ class TestGenerate:
         assert counts == {"n_captions": 3, "n_covered_images": 2, "n_records": 2, "n_exhausted": 1}
         assert json.loads(report.read_text(encoding="utf-8"))["metrics"] == counts
 
+    def test_report_hashes_every_file_it_reads(self, tmp_path, mock_generate):
+        config = write_yaml(tmp_path / "cfg.yaml", {"retry": 1})
+        prompt = write_yaml(tmp_path / "prompt.yaml", PROMPT)
+        inputs = []
+        for name, pattern in (("a", "caption"), ("b", "image")):
+            rules = write_yaml(tmp_path / f"rules-{name}.yaml", {"rules": [{**RULE, "pattern": pattern}]})
+            report = tmp_path / f"report-{name}.json"
+            argv = [*mock_generate, "--config", config, "--rules", rules, "--prompt", prompt, "--no-resume", "--report", report]
+            assert main([str(a) for a in argv]) == 0
+            inputs.append(json.loads(report.read_text(encoding="utf-8"))["inputs"])
+        script, captions = mock_generate[mock_generate.index("--script") + 1], mock_generate[mock_generate.index("--captions") + 1]
+        for name, run_inputs in zip("ab", inputs):
+            paths = (captions, config, tmp_path / f"rules-{name}.yaml", prompt, script)
+            assert run_inputs == {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
+        # Two runs that differ only in their rules file report different inputs.
+        assert inputs[0] != inputs[1]
+
     def test_missing_captions_file_is_exit_1(self, tmp_path):
         script = write_jsonl(tmp_path / "s.jsonl", [{"response_text": "unused"}])
         code = main(
@@ -384,6 +401,17 @@ class TestEvalVqa:
         metrics = json.loads(capsys.readouterr().out)["metrics"]
         assert (metrics["n_items"], metrics["n_ignored"]) == (1, 1)
 
+    def test_unknown_predictions_are_logged_in_one_line(self, tmp_path, caplog):
+        gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": "q", "answer": "fish"}])
+        rows = [{"question_id": qid, "prediction": "fish"} for qid in ("q", "u1", "u2", "u3", "u4", "u5", "u6")]
+        pred = write_jsonl(tmp_path / "p.jsonl", rows)
+        code, _ = run_main(caplog, "eval-vqa", "--pred", pred, "--gt", gt)
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            f"6 predictions in {pred} have no question in {gt} and are ignored (first: ['u1', 'u2', 'u3', 'u4', 'u5'])"
+        ]
+
 
 class TestEvalCaption:
     def test_identity_scores(self, tmp_path, capsys):
@@ -550,7 +578,11 @@ class TestReportCommand:
         assert run_main(caplog, *argv, "--report", report)[0] == 0
         payload = json.loads(report.read_text(encoding="utf-8"))
         captions_bytes = (tmp_path / os.fsdecode(b"cap\xff.json")).read_bytes()
-        assert payload["inputs"] == {f"{tmp_path}/cap\\xff.json": hashlib.sha256(captions_bytes).hexdigest()}
+        script_bytes = (tmp_path / "script.jsonl").read_bytes()
+        assert payload["inputs"] == {
+            f"{tmp_path}/cap\\xff.json": hashlib.sha256(captions_bytes).hexdigest(),
+            f"{tmp_path}/script.jsonl": hashlib.sha256(script_bytes).hexdigest(),
+        }
         assert payload["details"]["out"] == f"{tmp_path}/out\\xfe.jsonl"
         assert run_main(caplog, "report", "--in", report)[0] == 0
 
@@ -1051,6 +1083,24 @@ class TestFieldErrors:
         assert code == 1
         assert len(lines) == 1
         assert lines[0].startswith(f"{config}: ") and f"'{key}'" in lines[0]
+
+
+# The benchmark wraps ``cli._read_jsonl`` and counts the rows it returns; a reader that bypassed it would read 0 there.
+@pytest.mark.parametrize("command", ["eval-chair", "eval-vqa", "eval-caption"])
+def test_every_eval_jsonl_input_is_read_once_through_read_jsonl(tmp_path, caplog, monkeypatch, command):
+    calls = []
+    read_jsonl = cli._read_jsonl
+
+    def spy(path):
+        rows = read_jsonl(path)
+        calls.append((path, len(rows)))
+        return rows
+
+    monkeypatch.setattr(cli, "_read_jsonl", spy)
+    argv = write_field_inputs(tmp_path, command)
+    assert run_main(caplog, *argv)[0] == 0
+    jsonl_inputs = [arg for arg in argv if arg.endswith(".jsonl")]
+    assert sorted(calls) == sorted((path, len(FIELD_INPUTS[Path(path).name])) for path in jsonl_inputs)
 
 
 # --- rule and prompt files: each field is read through the checked reader ---
