@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-import warnings
 from collections.abc import Iterator
 from dataclasses import asdict
 from datetime import datetime
@@ -30,6 +29,7 @@ from .clocks import Clock, FixedClock, SystemClock
 from .corpus import (
     IMAGE_KEYS,
     as_kind,
+    check_keys,
     dataset_stats,
     iter_instructions,
     iter_jsonl,
@@ -176,9 +176,8 @@ def _settings(args: argparse.Namespace) -> dict:
         file_config = load_yaml(args.config) or {}
         if not isinstance(file_config, dict):
             raise InputError(f"{args.config}: config must be a mapping")
+        check_keys(file_config, SETTINGS, args.config)
         for key in file_config:
-            if key not in SETTINGS:
-                raise InputError(f"{args.config}: unknown key {key!r} (known: {', '.join(SETTINGS)})")
             put(key, read_field(file_config, key, args.config, SETTINGS[key][0]), args.config, repr(key))
     for key, env_name in (("base_url", ENV_BASE_URL), ("model", ENV_MODEL)):
         if os.environ.get(env_name):
@@ -326,12 +325,7 @@ def _cmd_eval_caption(args: argparse.Namespace, clock: Clock) -> tuple:
 
     eval_set = CaptionEvalSet(items=list(items.values()))
     bleu_scores = bleu(eval_set)
-    # A warning from scoring (a one-item CIDEr) is logged as one line, like the CLI's own warnings.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        cider_score = cider(eval_set, cider_d=args.cider_d)
-    for warning in caught:
-        log.warning("%s", warning.message)
+    cider_score = cider(eval_set, cider_d=args.cider_d)
 
     metrics = {
         "bleu_1": bleu_scores[0],

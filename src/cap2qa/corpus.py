@@ -214,6 +214,13 @@ def read_field(obj: dict, keys: str | tuple[str, ...], where: str, kind: type = 
     raise InputError(f"{where}: missing {' or '.join(map(repr, keys))}")
 
 
+def check_keys(obj: dict, known, where: str) -> None:
+    """Raise an :class:`InputError` naming the first key of one of our own formats that is not in ``known``: a misspelt key must not be dropped."""
+    for key in obj:
+        if key not in known:
+            raise InputError(f"{where}: unknown key {key!r} (known: {', '.join(known)})")
+
+
 def utf8_text(text: str, where: str, name: str) -> str:
     """Return ``text``, or raise an :class:`InputError` naming ``where`` and ``name`` if UTF-8 cannot encode it.
 

@@ -12,9 +12,9 @@ a Gaussian length penalty) is available behind a flag but off by default.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +22,9 @@ from itertools import chain
 
 from .errors import InputError
 from .porter import stem
+
+# The package logger, not this module's: the one-item note reads like the CLI's own warnings.
+log = logging.getLogger("cap2qa")
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -126,7 +129,7 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[f
     if not eval_set.items:
         raise InputError("CIDEr needs at least one item")
     if len(eval_set.items) == 1:
-        warnings.warn("CIDEr over a single item: document frequency degenerates and the score is 0", stacklevel=2)
+        log.warning("CIDEr over a single item: document frequency degenerates and the score is 0")
 
     # Each distinct text is stemmed once, and each distinct stemmed sequence counted once:
     # texts that differ only in case or punctuation share one Counter.

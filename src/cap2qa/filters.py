@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .corpus import QAPair, _objects, load_yaml, read_field
+from .corpus import QAPair, _objects, check_keys, load_yaml, read_field
 from .errors import InputError
 
 # For each scope, the fields it scans as indices into (question, answer).
 _SCANNED = {"question": (0,), "answer": (1,), "either": (0, 1)}
 SCOPES = tuple(_SCANNED)
+RULE_KEYS = ("rule_id", "scope", "pattern", "description")
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,11 @@ def load_rules(path: str | Path) -> list[FilterRule]:
     doc = load_yaml(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
         raise InputError(f"{path}: expected a top-level 'rules' list")
+    check_keys(doc, ("rules",), path)
     rules: list[FilterRule] = []
     for where, entry in _objects(path, doc["rules"], "rules"):
-        fields = {key: read_field(entry, key, where) for key in ("rule_id", "scope", "pattern")}
-        if "description" in entry:
-            fields["description"] = read_field(entry, "description", where)
+        check_keys(entry, RULE_KEYS, where)
+        fields = {key: read_field(entry, key, where) for key in RULE_KEYS if key != "description" or key in entry}
         try:
             rules.append(FilterRule(**fields))
         except ValueError as exc:

@@ -276,7 +276,8 @@ def generate_corpus(
     unterminated last line there is dropped first, as
     :func:`~cap2qa.corpus.drop_torn_tail` says. ``clock`` only stamps the
     records; a client built here paces its rate limiter and backoff in real
-    time.
+    time. A failure is raised as it came, for the caller to report; the
+    records written before it stay in the output.
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)
@@ -301,18 +302,14 @@ def generate_corpus(
         raise RuntimeFailure(f"cannot open {out_path}: {exc}") from exc
 
     outcomes = _in_order(todo, lambda caption: generate_for_caption(caption, config, client=client, clock=clock), config.workers)
-    try:
-        with out, closing(outcomes):
-            for caption, outcome in outcomes:
-                if not outcome.records:
-                    n_exhausted += 1
-                    log.warning("caption %d exhausted after %d attempts", caption.caption_id, outcome.attempts_used)
-                    continue
-                for record in outcome.records:
-                    out.write(record_to_line(record) + "\n")
-                    n_records += 1
-                    covered_images.add(record.image_id)
-    except Cap2qaError as failure:
-        log.error("run aborted: %s (partial output kept at %s)", failure, out_path)
-        raise
+    with out, closing(outcomes):
+        for caption, outcome in outcomes:
+            if not outcome.records:
+                n_exhausted += 1
+                log.warning("caption %d exhausted after %d attempts", caption.caption_id, outcome.attempts_used)
+                continue
+            for record in outcome.records:
+                out.write(record_to_line(record) + "\n")
+                n_records += 1
+                covered_images.add(record.image_id)
     return {"n_captions": len(captions), "n_covered_images": len(covered_images), "n_records": n_records, "n_exhausted": n_exhausted}

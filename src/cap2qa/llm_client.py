@@ -29,11 +29,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import requests
 
 from .clocks import Clock, SystemClock
-from .corpus import iter_jsonl, read_field, utf8_text
+from .corpus import check_keys, iter_jsonl, read_field, utf8_text
 from .errors import InputError, RuntimeFailure, ScriptExhaustedError
 
 API_KEY_ENV = "CAP2QA_API_KEY"
@@ -96,6 +97,7 @@ class MockScript:
         by_hash: dict[str, str] = {}
         for where, obj in iter_jsonl(path):
             text = utf8_text(read_field(obj, "response_text", where), where, "'response_text'")
+            check_keys(obj, ("response_text", "prompt_hash"), where)
             if not text:
                 raise InputError(f"{where}: 'response_text' must be non-empty")
             if "prompt_hash" not in obj:
@@ -126,6 +128,14 @@ class BackendSpec:
         if self.kind == "http":
             if not self.base_url:
                 raise ValueError("http backend requires base_url")
+            # requests would retry a URL it cannot send to as if the backend were down.
+            try:
+                parts = urlsplit(self.base_url)
+                valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
         elif self.kind == "mock":
             if self.script is None:
                 raise ValueError("mock backend requires a script")

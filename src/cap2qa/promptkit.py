@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CaptionRecord, as_kind, load_yaml, read_field, utf8_text
+from .corpus import CaptionRecord, as_kind, check_keys, load_yaml, read_field, utf8_text
 from .errors import InputError
 
 DEFAULT_BOTTOM_RULES = (
@@ -104,6 +104,7 @@ def load_prompt_config(path: str | Path) -> PromptConfig:
     doc = load_yaml(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: prompt config must be a mapping")
+    check_keys(doc, ("label", "bottom_rules", "task_description", "conditions"), path)
 
     # Every string reaches the records or the prompt, so each is checked for UTF-8 under its own name.
     def text(key: str) -> str:

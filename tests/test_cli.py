@@ -141,6 +141,25 @@ class TestGenerate:
         )
         assert code == 2
 
+    # A failed run has one reporter, the CLI: one ERROR line, and the records before the failure stay in --out.
+    def test_a_failed_run_prints_one_error_line(self, tmp_path):
+        captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits."), (2, 11, "A dog runs.")])
+        script = write_jsonl(tmp_path / "s.jsonl", [{"response_text": "Question: What sits?\nAnswer: A cat."}])
+        out = tmp_path / "o.jsonl"
+        proc = run_process(
+            "generate", "--captions", captions, "--out", out, "--backend", "mock", "--script", script,
+            "--fixed-clock", "2024-05-01T00:00:00+00:00",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"INFO cap2qa: loaded 2 captions from {captions}", "ERROR cap2qa: mock script has no response left"]
+        assert len(read_instructions(out)) == 1
+
+    def test_out_under_a_missing_directory_is_exit_2(self, tmp_path, caplog, mock_generate):
+        out = tmp_path / "missing" / "o.jsonl"
+        code, lines = run_main(caplog, *mock_generate, "--out", out)
+        assert code == 2
+        assert lines[-1].startswith(f"cannot open {out}: ")
+
     def test_write_error_mid_run_is_exit_2(self, tmp_path, caplog, monkeypatch):
         def no_space(record):
             raise OSError(28, "No space left on device")
@@ -511,6 +530,20 @@ class TestStats:
         assert code == 1
         assert lines[-1].startswith(f"{out}:3: ")
 
+    def test_strict_names_a_created_at_that_is_not_iso(self, generated, caplog):
+        out, _ = generated
+        out.write_text(out.read_text(encoding="utf-8").replace("2024-05-01T00:00:00+00:00", "yesterday", 1), encoding="utf-8")
+        code, lines = run_main(caplog, "stats", "--dataset", out)
+        assert code == 1
+        assert lines == [f"{out}:1: provenance: bad 'created_at' (Invalid isoformat string: 'yesterday')"]
+
+    # A row with no image key counts as a record and adds no image.
+    def test_lenient_counts_a_row_without_an_image(self, tmp_path, capsys):
+        data = write_jsonl(tmp_path / "foreign.jsonl", [{"image": "a.jpg", "question": "Q?", "answer": "A B"}, {"question": "Why not?", "answer": "C"}])
+        assert main(["stats", "--dataset", str(data), "--lenient"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics == {"n_records": 2, "n_distinct_images": 1, "avg_answer_words": 1.5, "avg_question_words": 1.5}
+
     def test_strict_rejects_foreign_schema(self, tmp_path):
         data = write_jsonl(tmp_path / "foreign.jsonl", [{"image": 1, "answer": "x"}])
         assert main(["stats", "--dataset", str(data)]) == 1
@@ -661,6 +694,40 @@ class TestInputErrors:
         assert proc.stderr.splitlines() == [
             f"ERROR cap2qa: {config}: malformed YAML at line 2: expected ',' or ']', but got '<stream end>'"
         ]
+
+    def test_config_that_is_not_a_mapping_is_exit_1(self, tmp_path, caplog, mock_generate):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("- retry\n", encoding="utf-8")
+        code, lines = run_main(caplog, *mock_generate, "--config", config)
+        assert (code, lines) == (1, [f"{config}: config must be a mapping"])
+
+    def test_mock_backend_without_script_is_exit_1(self, tmp_path, caplog, mock_generate):
+        argv = mock_generate[: mock_generate.index("--script")]
+        code, lines = run_main(caplog, *argv)
+        assert (code, lines) == (1, ["mock backend requires --script"])
+        assert not (tmp_path / "o.jsonl").exists()
+
+    # requests cannot send to a URL without an http(s) scheme and a host, and
+    # the client would retry that as an outage: exit 1 at once, from any source.
+    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    def test_malformed_base_url_is_exit_1_before_out_is_touched(self, tmp_path, caplog, monkeypatch, source):
+        posts = []
+        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: posts.append(url))
+        monkeypatch.delenv("CAP2QA_BASE_URL", raising=False)
+        captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
+        argv = ["generate", "--captions", captions, "--out", tmp_path / "o.jsonl", "--retry", "1"]
+        if source == "flag":
+            argv += ["--base-url", "localhost:8000/v1"]
+        elif source == "environment":
+            monkeypatch.setenv("CAP2QA_BASE_URL", "localhost:8000/v1")
+        else:
+            config = tmp_path / "cfg.yaml"
+            config.write_text("base_url: localhost:8000/v1\n", encoding="utf-8")
+            argv += ["--config", config]
+        code, lines = run_main(caplog, *argv)
+        assert (code, lines) == (1, ["base_url must be an http:// or https:// URL with a host, got 'localhost:8000/v1'"])
+        assert not (tmp_path / "o.jsonl").exists()
+        assert posts == []
 
     def test_missing_script_is_exit_1(self, tmp_path, caplog, mock_generate):
         script = Path(mock_generate[mock_generate.index("--script") + 1])
@@ -1140,6 +1207,28 @@ def test_bad_rule_or_prompt_field_is_exit_1_naming_file_and_key(tmp_path, caplog
     assert len(lines) == 1
     assert lines[0].startswith(f"{path}: ")
     assert f"'{key}' must be" in lines[0] or f"{key}[0] must be" in lines[0]
+
+
+# Our own settings formats name a misspelt key instead of dropping it; --config is TestFieldErrors' 'worker' case.
+@pytest.mark.parametrize(
+    "flag, name, doc, where, key, known",
+    [
+        ("--rules", "rules.yaml", {"rules": [RULE], "extra_top": 1}, "", "extra_top", "rules"),
+        ("--rules", "rules.yaml", {"rules": [{**RULE, "descripton": "x", "flags": "i"}]}, ": rules[0]", "descripton", "rule_id, scope, pattern, description"),
+        ("--prompt", "prompt.yaml", {**PROMPT, "lable": "mine"}, "", "lable", "label, bottom_rules, task_description, conditions"),
+        ("--script", "script.jsonl", {"response_text": "Question: Q?\nAnswer: A.", "promt_hash": "0" * 64}, ":1", "promt_hash", "response_text, prompt_hash"),
+    ],
+    ids=["rules-top-level", "rules-entry", "prompt", "script-row"],
+)
+def test_unknown_key_is_exit_1_naming_file_and_key(tmp_path, caplog, mock_generate, flag, name, doc, where, key, known):
+    path = tmp_path / name
+    if name.endswith(".jsonl"):
+        write_jsonl(path, [doc])
+    else:
+        write_yaml(path, doc)
+    code, lines = run_main(caplog, *mock_generate, flag, path)
+    assert (code, lines) == (1, [f"{path}{where}: unknown key {key!r} (known: {known})"])
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 # A prompt string reaches every record through the version tag or the

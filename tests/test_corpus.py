@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -22,7 +23,7 @@ from cap2qa.corpus import (
     scan_jsonl_stats,
     write_instructions,
 )
-from cap2qa.errors import InputError
+from cap2qa.errors import InputError, RuntimeFailure
 
 from conftest import write_caption_file, write_instance_file, write_jsonl
 
@@ -111,6 +112,15 @@ class TestLoadObjectAnnotations:
         assert result[99].positive_categories == frozenset()
         assert result[99].negative_categories == {"cat"}
 
+    @pytest.mark.parametrize("missing", ["categories", "annotations"])
+    def test_missing_array_rejected(self, tmp_path, missing):
+        path = write_instance_file(tmp_path / "i.json", categories={1: "cat"}, annotations=[(10, 1)])
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload[missing]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(InputError, match=r"i\.json: expected top-level 'categories' and 'annotations' arrays$"):
+            load_object_annotations(path, ["cat"])
+
     def test_unknown_category_id(self, tmp_path):
         path = write_instance_file(
             tmp_path / "i.json", categories={1: "cat"}, annotations=[(10, 7)]
@@ -160,6 +170,11 @@ class TestInstructionRoundTrip:
         out = tmp_path / "out.jsonl"
         out.write_text(record_to_line(make_record()) + "\n\n\n", encoding="utf-8")
         assert len(read_instructions(out)) == 1
+
+    def test_write_to_a_missing_directory_is_a_runtime_failure(self, tmp_path):
+        out = tmp_path / "missing" / "out.jsonl"
+        with pytest.raises(RuntimeFailure, match=f"^cannot write {re.escape(str(out))}: "):
+            write_instructions(out, [make_record()])
 
     def test_malformed_line_reports_number(self, tmp_path):
         out = tmp_path / "out.jsonl"

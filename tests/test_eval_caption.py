@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 import warnings
@@ -214,9 +215,12 @@ class TestCider:
             assert a == pytest.approx(e, abs=1e-9)
         assert cider(corpus(*items)) == pytest.approx(sum(expected) / len(expected), abs=1e-9)
 
-    def test_singleton_warns(self):
-        with pytest.warns(UserWarning):
-            cider_per_item(corpus(("a cat", ["a cat"])))
+    def test_singleton_warns(self, caplog):
+        caplog.set_level(logging.WARNING, logger="cap2qa")
+        cider_per_item(corpus(("a cat", ["a cat"])))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("cap2qa", logging.WARNING, "CIDEr over a single item: document frequency degenerates and the score is 0")
+        ]
 
     def test_empty_corpus_raises(self):
         with pytest.raises(InputError, match="^CIDEr needs at least one item$"):

@@ -167,6 +167,13 @@ class TestYamlRoundTrip:
         path.write_text("rules:\n  - {rule_id: 5, scope: either, pattern: 1.5}\n", encoding="utf-8")
         assert load_rules(path) == [FilterRule(rule_id="5", scope="either", pattern="1.5", description="")]
 
+    def test_bad_scope_names_the_entry(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("rules:\n  - {rule_id: x, scope: both, pattern: a}\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_rules(path)
+        assert str(info.value) == f"{path}: rules[0]: rule 'x': scope must be one of ('question', 'answer', 'either')"
+
     def test_missing_rules_key(self, tmp_path):
         path = tmp_path / "rules.yaml"
         path.write_text("nope: []\n", encoding="utf-8")

@@ -180,6 +180,10 @@ class TestGenerateForCaption:
         with pytest.raises(ValueError):
             config("x", retry=0)
 
+    def test_cache_enabled_needs_a_cache_dir(self):
+        with pytest.raises(ValueError, match="^cache_enabled requires cache_dir$"):
+            config("x", cache_enabled=True)
+
     @pytest.mark.parametrize(
         "rules, message",
         [([], "rules must be non-empty"), (default_rules()[:1] * 2, "duplicate rule_id 'mentions-caption'")],
@@ -266,6 +270,13 @@ class TestGenerateCorpus:
         summary = generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
         assert [r.source_caption_ids[0] for r in read_instructions(out)] == [0, 1]
         assert summary["n_records"] == 1
+
+    # The caller reports a failure, so the driver raises it without logging it.
+    def test_backend_failure_is_raised_unlogged(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="cap2qa")
+        with pytest.raises(ScriptExhaustedError, match="^mock script has no response left$"):
+            generate_corpus([caption()], config(), tmp_path / "out.jsonl", clock=FixedClock(NOW))
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         captions = [caption(cid=i, image_id=100 + i, text=f"unique text {i}") for i in range(20)]

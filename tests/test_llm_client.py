@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -89,6 +90,31 @@ class TestRequestValidation:
     def test_max_tokens_positive(self):
         with pytest.raises(ValueError):
             request(max_output_tokens=0)
+
+
+class TestBackendSpec:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "http"}, "http backend requires base_url"),
+            ({"kind": "mock"}, "mock backend requires a script"),
+            ({"kind": "grpc", "base_url": "http://h/v1"}, "unknown backend kind 'grpc'"),
+        ],
+        ids=["http-without-base-url", "mock-without-script", "unknown-kind"],
+    )
+    def test_incomplete_spec_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BackendSpec(**kwargs)
+
+    # requests raises InvalidSchema, MissingSchema or InvalidURL for these, and the client would retry them.
+    @pytest.mark.parametrize("url", ["localhost:8000/v1", "127.0.0.1:8000", "ftp://h/v1", "http://", "http:///v1", "//h/v1", "http://[::1"])
+    def test_base_url_without_http_scheme_and_host_rejected(self, url):
+        with pytest.raises(ValueError, match=f"^base_url must be an http:// or https:// URL with a host, got {re.escape(repr(url))}$"):
+            BackendSpec(kind="http", base_url=url)
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9/v1", "https://api.example.test/v1", "HTTP://h"])
+    def test_http_and_https_urls_accepted(self, url):
+        assert BackendSpec(kind="http", base_url=url).base_url == url
 
 
 class TestCacheKey:

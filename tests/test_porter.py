@@ -53,6 +53,8 @@ KNOWN = [
     ("adjustment", "adjust"),
     ("dependent", "depend"),
     ("adoption", "adopt"),
+    # Step 4 strips -ion only after s or t: "commun" has m = 2 but ends in n.
+    ("communion", "communion"),
     ("activate", "activ"),
     ("angulariti", "angular"),
     ("homologous", "homolog"),

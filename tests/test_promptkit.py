@@ -136,6 +136,13 @@ class TestYamlRoundTrip:
         path.write_text("bottom_rules: [1]\ntask_description: 5\nconditions: [2.5]\n", encoding="utf-8")
         assert load_prompt_config(path) == PromptConfig.from_parts(("1",), "5", ("2.5",), label="numbers")
 
+    def test_empty_part_rejected(self, tmp_path):
+        path = tmp_path / "prompt.yaml"
+        path.write_text("bottom_rules: []\ntask_description: t\nconditions: [c]\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_prompt_config(path)
+        assert str(info.value) == f"{path}: prompt config needs non-empty bottom rules, task description and conditions"
+
     def test_missing_part_rejected(self, tmp_path):
         path = tmp_path / "prompt.yaml"
         path.write_text("bottom_rules: [a]\nconditions: [b]\n", encoding="utf-8")
