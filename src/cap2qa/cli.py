@@ -46,7 +46,7 @@ from .eval_hallucination import AnswerRecord, build_lexicon, chair_eval, default
 from .eval_vqa import evaluate
 from .filters import load_rules
 from .generator import GeneratorConfig, generate_corpus
-from .llm_client import BackendSpec, MockScript
+from .llm_client import BackendSpec, MockScript, base_url_problem
 from .promptkit import load_prompt_config
 from .reporting import load_report, report_render, sha256_file
 
@@ -152,8 +152,8 @@ def _settings(args: argparse.Namespace) -> dict:
     """The generate settings that were given: config file, then environment, then flags.
 
     Each text setting is checked for UTF-8, each path for a non-empty file
-    name, and the backend for its kind, where it is read, so the error
-    names its source.
+    name, the backend for its kind and the base URL for its form, where it
+    is read, so the error names its source.
     """
     settings: dict = {}
 
@@ -162,6 +162,8 @@ def _settings(args: argparse.Namespace) -> dict:
             raise InputError(f"{where}: {name} must be {' or '.join(BACKENDS)}, got {value!r}")
         if key in TEXT_SETTINGS:
             utf8_text(value, where, name)
+            if key == "base_url" and (problem := base_url_problem(value)):
+                raise InputError(f"{where}: {name} {problem}")
         elif key in PATH_SETTINGS:
             if not value:
                 raise InputError(f"{where}: {name} must not be empty")

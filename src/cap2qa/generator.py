@@ -14,9 +14,9 @@ instead of sleeping: its worker moves on, and the writer waits out the
 backoff when the caption reaches the head of the window, then hands it back
 to the pool to go on from the attempt where it stopped. So ``workers``
 bounds the requests in flight, and no worker sleeps through a backoff. A
-failed or interrupted run starts no further caption and resumes no parked
-one. The driver can resume an interrupted run by skipping captions already
-present in the output.
+failed or interrupted run starts no further caption, resumes no parked one,
+and ends its output just before the first caption that did not finish; the
+driver resumes it by skipping captions already present in the output.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .corpus import (
     read_instructions,
     record_to_line,
 )
-from .errors import Cap2qaError, RuntimeFailure
+from .errors import RuntimeFailure
 from .filters import FilterRule, check_rules, default_rules, filter_artifacts
 from .llm_client import AssistantClient, AssistantRequest, Backoff, BackendSpec, park_retries
 from .promptkit import PromptConfig, default_prompt_config, render
@@ -191,12 +191,13 @@ def _attempts(caption, config, client, clock, request, first=1, reply=None) -> G
 _POOL_WINDOW_PER_WORKER = 64
 
 
-def _failed(future) -> bool:
-    """Whether ``future`` has raised something other than :class:`~cap2qa.llm_client.Backoff`."""
-    if not future.done() or future.cancelled():
-        return False
-    error = future.exception()
-    return error is not None and not isinstance(error, Backoff)
+def _raise_first_failure(window) -> None:
+    """Raise the exception of the first caption in ``window`` that failed with other than :class:`~cap2qa.llm_client.Backoff`."""
+    for _, future in window:
+        if future.done() and not future.cancelled():
+            error = future.exception()
+            if error is not None and not isinstance(error, Backoff):
+                raise error
 
 
 def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[CaptionRecord, GenerationOutcome]]:
@@ -209,13 +210,12 @@ def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[Ca
     :class:`~cap2qa.llm_client.Backoff` keeps its place in the window and
     frees its worker. When it reaches the head, this thread waits out what
     is left of the backoff and submits its ``resume`` to the pool in its
-    place. The first :class:`Cap2qaError` stops submission and cancels the
-    queued captions; the captions that finished or were running are still
-    yielded, in order, and then that failure is raised, so the partial
-    output stays resumable. A parked caption is resumed only while no
-    caption has failed, and otherwise dropped. Any other exception, or
-    closing the generator early, also cancels the queue before the pool
-    waits for the running captions, and resumes no parked caption.
+    place. One rule ends a run at any worker count: the first caption that
+    does not finish raises its exception as it came, so what was yielded is
+    the caption-order prefix before it. The pool then cancels the queued
+    captions and waits for the running ones, which are not yielded. A parked
+    caption is not resumed once a caption behind it has failed: that failure
+    is raised instead. Closing the generator early also cancels the queue.
     """
     if workers == 1:
         for caption in todo:
@@ -225,32 +225,21 @@ def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[Ca
     with ThreadPoolExecutor(max_workers=workers, initializer=park_retries) as pool:
         try:
             pending, window = iter(todo), deque()
-            failure: Cap2qaError | None = None
             while True:
-                if failure is None:
-                    for caption in islice(pending, window_size - len(window)):
-                        window.append((caption, pool.submit(run, caption)))
+                for caption in islice(pending, window_size - len(window)):
+                    window.append((caption, pool.submit(run, caption)))
                 if not window:
-                    break
+                    return
                 caption, future = window.popleft()
-                if future.cancelled():
-                    continue
                 try:
                     outcome = future.result()
                 except Backoff as backoff:
-                    if failure is None and not any(_failed(f) for _, f in window):
-                        backoff.wait()
-                        if not any(_failed(f) for _, f in window):
-                            window.appendleft((caption, pool.submit(backoff.resume)))
-                    continue
-                except Cap2qaError as exc:
-                    if failure is None:
-                        failure = exc
-                        pool.shutdown(wait=False, cancel_futures=True)
+                    _raise_first_failure(window)
+                    backoff.wait()
+                    _raise_first_failure(window)
+                    window.appendleft((caption, pool.submit(backoff.resume)))
                     continue
                 yield caption, outcome
-            if failure is not None:
-                raise failure
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -269,15 +258,15 @@ def generate_corpus(
     The counts are ``n_captions``, ``n_covered_images`` (resumed ones
     included), ``n_records`` written this run and ``n_exhausted`` captions.
 
-    Output order equals caption input order at any worker count, and a
-    failed or interrupted run starts no further caption, as :func:`_in_order`
-    says. With ``resume`` (default), captions that already contributed
-    records to the output file are skipped and new records are appended; an
-    unterminated last line there is dropped first, as
+    Output order equals caption input order at any worker count, as
+    :func:`_in_order` says. With ``resume`` (default), captions that already
+    contributed records to the output file are skipped and new records are
+    appended; an unterminated last line there is dropped first, as
     :func:`~cap2qa.corpus.drop_torn_tail` says. ``clock`` only stamps the
     records; a client built here paces its rate limiter and backoff in real
-    time. A failure is raised as it came, for the caller to report; the
-    records written before it stay in the output.
+    time. A failure is raised as it came, for the caller to report. The
+    output then holds the records of the captions before the first caption
+    that did not finish, and no others, at any worker count.
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)

@@ -118,6 +118,17 @@ class MockScript:
             return self._queue.popleft()
 
 
+def base_url_problem(url: str) -> str | None:
+    """Why requests cannot send to ``url``, or None; the client would retry such a URL as if the backend were down."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number in 0..65535
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:
+        valid = False
+    return None if valid else f"must be an http:// or https:// URL with a host, got {url!r}"
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     kind: str  # "http" | "mock"
@@ -128,14 +139,8 @@ class BackendSpec:
         if self.kind == "http":
             if not self.base_url:
                 raise ValueError("http backend requires base_url")
-            # requests would retry a URL it cannot send to as if the backend were down.
-            try:
-                parts = urlsplit(self.base_url)
-                valid = parts.scheme in ("http", "https") and bool(parts.hostname)
-            except ValueError:
-                valid = False
-            if not valid:
-                raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
+            if problem := base_url_problem(self.base_url):
+                raise ValueError(f"base_url {problem}")
         elif self.kind == "mock":
             if self.script is None:
                 raise ValueError("mock backend requires a script")

@@ -718,14 +718,17 @@ class TestInputErrors:
         argv = ["generate", "--captions", captions, "--out", tmp_path / "o.jsonl", "--retry", "1"]
         if source == "flag":
             argv += ["--base-url", "localhost:8000/v1"]
+            where = "command line: --base-url"
         elif source == "environment":
             monkeypatch.setenv("CAP2QA_BASE_URL", "localhost:8000/v1")
+            where = "environment: CAP2QA_BASE_URL"
         else:
             config = tmp_path / "cfg.yaml"
             config.write_text("base_url: localhost:8000/v1\n", encoding="utf-8")
             argv += ["--config", config]
+            where = f"{config}: 'base_url'"
         code, lines = run_main(caplog, *argv)
-        assert (code, lines) == (1, ["base_url must be an http:// or https:// URL with a host, got 'localhost:8000/v1'"])
+        assert (code, lines) == (1, [f"{where} must be an http:// or https:// URL with a host, got 'localhost:8000/v1'"])
         assert not (tmp_path / "o.jsonl").exists()
         assert posts == []
 

@@ -251,9 +251,10 @@ class TestGenerateCorpus:
         assert len(records) == 1
         assert records[0].question == "R?"
 
-    def test_backend_failure_keeps_partial_output(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_backend_failure_keeps_partial_output(self, tmp_path, workers):
         captions = [caption(cid=0, text="first"), caption(cid=1, image_id=11, text="second")]
-        cfg = config()
+        cfg = config(workers=workers)
         first = scripted_by_caption(captions[:1], ["Question: Q?\nAnswer: A."], cfg)
         cfg.backend = BackendSpec(kind="mock", script=MockScript((), first))
         cfg.retry = 1
@@ -270,6 +271,12 @@ class TestGenerateCorpus:
         summary = generate_corpus(captions, cfg, out, clock=FixedClock(NOW))
         assert [r.source_caption_ids[0] for r in read_instructions(out)] == [0, 1]
         assert summary["n_records"] == 1
+        # ... to the bytes of an unbroken run with the same replies
+        replies = scripted_by_caption(captions, ["Question: Q?\nAnswer: A.", "Question: R?\nAnswer: B."], cfg)
+        cfg.backend = BackendSpec(kind="mock", script=MockScript((), replies))
+        full = tmp_path / "full.jsonl"
+        generate_corpus(captions, cfg, full, clock=FixedClock(NOW))
+        assert out.read_bytes() == full.read_bytes()
 
     # The caller reports a failure, so the driver raises it without logging it.
     def test_backend_failure_is_raised_unlogged(self, tmp_path, caplog):
@@ -393,19 +400,15 @@ class TestPoolWindow:
     # Two workers. Caption 1 fails once caption 2 has started; caption 2 runs
     # until the captions behind it are cancelled. A done callback holds the
     # worker that ran caption 1 until then too, so no worker is free to start
-    # a queued caption before the cancel. A backend failure still writes
-    # caption 2, which was running; any other exception, Ctrl-C included,
-    # propagates at once.
+    # a queued caption before the cancel. Every exception, a backend failure
+    # or Ctrl-C alike, propagates at once: caption 2, which was running, is
+    # not written, so a resumed run restores the bytes of an unbroken one.
     @pytest.mark.parametrize(
-        "error, written",
-        [
-            (ScriptExhaustedError("mock script has no response left"), [0, 2]),
-            (RuntimeError("a bug"), [0]),
-            (KeyboardInterrupt("ctrl-c"), [0]),
-        ],
+        "error",
+        [ScriptExhaustedError("mock script has no response left"), RuntimeError("a bug"), KeyboardInterrupt("ctrl-c")],
         ids=["backend-failure", "other-exception", "interrupt"],
     )
-    def test_failure_cancels_the_queued_captions(self, tmp_path, monkeypatch, error, written):
+    def test_failure_cancels_the_queued_captions(self, tmp_path, monkeypatch, error):
         captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(6)]
         cfg = config(workers=2, retry=1)
         lines = self.lines(tmp_path, cfg, captions)
@@ -429,7 +432,10 @@ class TestPoolWindow:
             generate_corpus(captions, cfg, out, clock=FixedClock(NOW), client=client)
         assert queue_cancelled.is_set()
         assert sorted(client.calls) == [0, 1, 2]
-        assert out.read_bytes() == b"".join(lines[i] for i in written)
+        assert out.read_bytes() == lines[0]
+
+        generate_corpus(captions, cfg, out, clock=FixedClock(NOW), client=ScriptedClient(cfg, captions))
+        assert out.read_bytes() == b"".join(lines)
 
     # The same holds for a failure in the writer: caption 1's record cannot be
     # written once caption 2 has started. The queued captions are cancelled,

@@ -107,7 +107,7 @@ class TestBackendSpec:
             BackendSpec(**kwargs)
 
     # requests raises InvalidSchema, MissingSchema or InvalidURL for these, and the client would retry them.
-    @pytest.mark.parametrize("url", ["localhost:8000/v1", "127.0.0.1:8000", "ftp://h/v1", "http://", "http:///v1", "//h/v1", "http://[::1"])
+    @pytest.mark.parametrize("url", ["localhost:8000/v1", "127.0.0.1:8000", "ftp://h/v1", "http://", "http:///v1", "//h/v1", "http://[::1", "http://h:abc/v1", "http://h:99999/v1"])
     def test_base_url_without_http_scheme_and_host_rejected(self, url):
         with pytest.raises(ValueError, match=f"^base_url must be an http:// or https:// URL with a host, got {re.escape(repr(url))}$"):
             BackendSpec(kind="http", base_url=url)
