@@ -76,6 +76,7 @@ SETTINGS = {
 # The settings that are text, not paths: the backend gets them, and the report and the records hold them.
 TEXT_SETTINGS = ("base_url", "model")
 PATH_SETTINGS = ("cache_dir", "rules", "prompt", "script")
+OUTPUT_FLAGS = ("out", "report")
 # Every flag of every command that names a file or directory, by its argparse dest.
 PATH_FLAGS = ("captions", "out", "config", "answers", "instances", "categories", "synonyms", "pred", "gt", "refs", "dataset", "in_path", "report", *PATH_SETTINGS)
 
@@ -119,11 +120,31 @@ def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths
 
 
 def _check_path_flags(args: argparse.Namespace) -> None:
-    """Fail before anything is read or written when a path flag is empty: it would name the working directory or no file."""
+    """Fail before anything is read or written when a path flag is empty, or names the file of an output flag."""
     for dest in PATH_FLAGS:
-        if getattr(args, dest, None) == "":
-            flag = "--in" if dest == "in_path" else "--" + dest.replace("_", "-")
+        path = getattr(args, dest, None)
+        flag = "--in" if dest == "in_path" else "--" + dest.replace("_", "-")
+        if path == "":
             raise InputError(f"command line: {flag} must not be empty")
+        if path is not None:
+            _check_not_output(args, path, f"command line: {flag}", [output for output in OUTPUT_FLAGS if output != dest])
+
+
+def _check_not_output(args: argparse.Namespace, path: str, name: str, outputs=OUTPUT_FLAGS) -> None:
+    """Fail when an output flag names the file ``path`` that the run reads as ``name``, unless writing cannot destroy it (``/dev/null``).
+
+    A file that does not exist yet, as a new ``--out``, is compared by its resolved path.
+    """
+    for dest in outputs:
+        output = getattr(args, dest, None)
+        if not output:  # an empty output flag fails on its own
+            continue
+        try:
+            same = os.path.samefile(output, path) and os.path.isfile(path)
+        except OSError:
+            same = os.path.realpath(output) == os.path.realpath(path)
+        if same:
+            raise InputError(f"{name} and --{dest} name one file, {path}: the run would overwrite what it reads")
 
 
 def _check_report_path(path: str) -> None:
@@ -162,6 +183,8 @@ def _settings(args: argparse.Namespace) -> dict:
             raise InputError(f"{where}: {name} must be {' or '.join(BACKENDS)}, got {value!r}")
         if key in TEXT_SETTINGS:
             utf8_text(value, where, name)
+            if key == "model" and not value:
+                raise InputError(f"{where}: {name} must not be empty")
             if key == "base_url" and (problem := base_url_problem(value)):
                 raise InputError(f"{where}: {name} {problem}")
         elif key in PATH_SETTINGS:
@@ -172,6 +195,7 @@ def _settings(args: argparse.Namespace) -> dict:
                 os.fsencode(value)
             except UnicodeEncodeError as exc:
                 raise InputError(f"{where}: {name} is not a file name: it holds {value[exc.start]!r} at index {exc.start}") from exc
+            _check_not_output(args, value, f"{where}: {name}")
         settings[key] = value
 
     if args.config is not None:

@@ -15,6 +15,7 @@ one-line input error. Every field of those inputs is then read through
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -221,6 +222,13 @@ def check_keys(obj: dict, known, where: str) -> None:
             raise InputError(f"{where}: unknown key {key!r} (known: {', '.join(known)})")
 
 
+def sha256_hex(content) -> str:
+    """The SHA-256 hex that names ``content``: of a text's UTF-8, or of another JSON value's sorted-key, non-ASCII-escaped ``json.dumps``."""
+    if type(content) is not str:
+        content = json.dumps(content, ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+
+
 def utf8_text(text: str, where: str, name: str) -> str:
     """Return ``text``, or raise an :class:`InputError` naming ``where`` and ``name`` if UTF-8 cannot encode it.
 
@@ -320,6 +328,8 @@ def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str
 
 # What JSONEncoder(ensure_ascii=False) calls for a str (the C string encoder) and for an int.
 _quote, _int = json.encoder.encode_basestring, int.__repr__
+# How every line that record_to_line writes starts.
+_RECORD_START = b'{"image_id": '
 
 
 def record_to_line(record: InstructionRecord) -> str:
@@ -399,7 +409,8 @@ def drop_torn_tail(path: str | Path) -> None:
     line's caption or the whole caption before it, so resume regenerates the
     torn caption whole, and at most one finished caption with it. A line
     that is not a record ends a group, is never cut, and fails the resume
-    scan.
+    scan. An unterminated last line that :func:`record_to_line` cannot have
+    begun is no torn record: it is an :class:`InputError`, and nothing is cut.
     """
     try:
         fh = open(path, "rb+")
@@ -423,6 +434,8 @@ def drop_torn_tail(path: str | Path) -> None:
                 group_start, group_ids, group_lines = pos, ids, 0
             group_lines += 1
             pos += len(line)
+        if not (line.startswith(_RECORD_START) or _RECORD_START.startswith(line)):
+            raise InputError(f"{path}: the unterminated last line is not a record that generate writes, so resume will not cut it")
         if group_ids is None:
             group_start, group_lines = pos, 0
         fh.truncate(group_start)

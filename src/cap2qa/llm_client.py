@@ -19,11 +19,11 @@ in the calling thread.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import random
+import re
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from urllib.parse import urlsplit
 import requests
 
 from .clocks import Clock, SystemClock
-from .corpus import check_keys, iter_jsonl, read_field, utf8_text
+from .corpus import check_keys, iter_jsonl, read_field, sha256_hex, utf8_text
 from .errors import InputError, RuntimeFailure, ScriptExhaustedError
 
 API_KEY_ENV = "CAP2QA_API_KEY"
@@ -51,29 +51,22 @@ class AssistantRequest:
     def __post_init__(self):
         if not self.prompt_text:
             raise ValueError("prompt_text must be non-empty")
+        if not self.model_id:
+            raise ValueError("model_id must be non-empty")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
         if self.max_output_tokens <= 0:
             raise ValueError(f"max_output_tokens must be positive, got {self.max_output_tokens}")
 
 
-def prompt_hash(prompt_text: str) -> str:
-    return hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
+# The key of a hash-keyed mock script entry: the SHA-256 hex of the rendered prompt text.
+prompt_hash = sha256_hex
+_PROMPT_HASH = re.compile("[0-9a-f]{64}")
 
 
 def cache_key(request: AssistantRequest) -> str:
-    """Stable 256-bit digest of everything that shapes the response."""
-    payload = json.dumps(
-        {
-            "prompt_text": request.prompt_text,
-            "model_id": request.model_id,
-            "temperature": request.temperature,
-            "max_output_tokens": request.max_output_tokens,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """The digest of every field of the request, which is everything that shapes the response."""
+    return sha256_hex(vars(request))
 
 
 class MockScript:
@@ -102,10 +95,14 @@ class MockScript:
                 raise InputError(f"{where}: 'response_text' must be non-empty")
             if "prompt_hash" not in obj:
                 responses.append(text)
-            elif key := read_field(obj, "prompt_hash", where):
-                by_hash[key] = text
-            else:
+                continue
+            # A key that no prompt hashes to would leave its caption to the ordered queue.
+            key = read_field(obj, "prompt_hash", where)
+            if not key:
                 raise InputError(f"{where}: 'prompt_hash' must be non-empty")
+            if not _PROMPT_HASH.fullmatch(key):
+                raise InputError(f"{where}: 'prompt_hash' must be 64 lowercase hex digits, a SHA-256 of a prompt, got {key!r}")
+            by_hash[key] = text
         return cls(responses, by_hash)
 
     def next_for(self, prompt_text: str) -> str:
@@ -282,7 +279,7 @@ class AssistantClient:
         self.backend = backend
         self.clock = clock or SystemClock()
         self.cache = ResponseCache(cache_dir) if cache_dir else None
-        self.limiter = RateLimiter(rate_limit_rpm, self.clock) if rate_limit_rpm else None
+        self.limiter = RateLimiter(rate_limit_rpm, self.clock) if rate_limit_rpm is not None else None
         self.retry = retry or RetryPolicy()
         self.timeout = timeout
         self._session = session if session is not None else requests.Session()

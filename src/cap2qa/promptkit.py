@@ -9,12 +9,10 @@ tag so that any edit is visible in record provenance.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CaptionRecord, as_kind, check_keys, load_yaml, read_field, utf8_text
+from .corpus import CaptionRecord, as_kind, check_keys, load_yaml, read_field, sha256_hex, utf8_text
 from .errors import InputError
 
 DEFAULT_BOTTOM_RULES = (
@@ -35,44 +33,28 @@ DEFAULT_CONDITIONS = (
 )
 
 
-def _digest(bottom_rules: tuple[str, ...], task_description: str, conditions: tuple[str, ...]) -> str:
-    payload = json.dumps(
-        {"bottom_rules": list(bottom_rules), "task": task_description, "conditions": list(conditions)},
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class PromptConfig:
+    """A prompt's three parts; its ``version_tag``, ``label`` plus 12 hex digits of their digest, always names them."""
+
     bottom_rules: tuple[str, ...]
     task_description: str
     conditions: tuple[str, ...]
-    version_tag: str
+    label: str = "custom"
+    version_tag: str = field(init=False)
     # The rendered prompt up to and including its ``Caption:`` line: the same for every caption.
     head: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lines = ["Rules:", *(f"- {rule}" for rule in self.bottom_rules), "", "Task:", self.task_description, ""]
-        lines += ["Conditions:", *(f"- {cond}" for cond in self.conditions), "", "Caption:", ""]
-        object.__setattr__(self, "head", "\n".join(lines))
-
-    @classmethod
-    def from_parts(
-        cls,
-        bottom_rules,
-        task_description: str,
-        conditions,
-        label: str = "custom",
-    ) -> "PromptConfig":
-        """Build a config whose version tag tracks the content hash."""
-        bottom_rules = tuple(bottom_rules)
-        conditions = tuple(conditions)
-        if not bottom_rules or not task_description.strip() or not conditions:
+        rules, task, conds = tuple(self.bottom_rules), self.task_description, tuple(self.conditions)
+        if not rules or not task.strip() or not conds:
             raise ValueError("prompt config needs non-empty bottom rules, task description and conditions")
-        tag = f"{label}-{_digest(bottom_rules, task_description, conditions)[:12]}"
-        return cls(bottom_rules, task_description, conditions, tag)
+        digest = sha256_hex({"bottom_rules": rules, "task": task, "conditions": conds})
+        lines = ["Rules:", *(f"- {rule}" for rule in rules), "", "Task:", task, ""]
+        lines += ["Conditions:", *(f"- {cond}" for cond in conds), "", "Caption:", ""]
+        derived = {"bottom_rules": rules, "conditions": conds, "version_tag": f"{self.label}-{digest[:12]}", "head": "\n".join(lines)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -82,9 +64,7 @@ class PromptBundle:
 
 def default_prompt_config() -> PromptConfig:
     """The shipped default rule set."""
-    return PromptConfig.from_parts(
-        DEFAULT_BOTTOM_RULES, DEFAULT_TASK_DESCRIPTION, DEFAULT_CONDITIONS, label="default"
-    )
+    return PromptConfig(DEFAULT_BOTTOM_RULES, DEFAULT_TASK_DESCRIPTION, DEFAULT_CONDITIONS, label="default")
 
 
 def render(config: PromptConfig, caption: CaptionRecord) -> PromptBundle:
@@ -116,6 +96,6 @@ def load_prompt_config(path: str | Path) -> PromptConfig:
 
     label = text("label") if "label" in doc else utf8_text(path.stem, path, "the file name (the default 'label')")
     try:
-        return PromptConfig.from_parts(strings("bottom_rules"), text("task_description"), strings("conditions"), label=label)
+        return PromptConfig(strings("bottom_rules"), text("task_description"), strings("conditions"), label=label)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc

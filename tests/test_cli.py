@@ -1373,3 +1373,65 @@ class TestUnreadableInputs:
         cache_dir = blocker / "sub"
         code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--cache-dir", cache_dir)
         assert (code, lines[-1]) == (2, f"cache directory {cache_dir}: Not a directory")
+
+
+class TestNoRunOverwritesItsInput:
+    """``--out`` or ``--report`` naming a file the run reads is exit 1 before any byte is written."""
+
+    # Parameters: flags added to a valid run whose inputs are named by
+    # absolute paths (later flags win; these are relative to its directory),
+    # the file named in the error line, and the two names it gives. cfg.yaml
+    # names rules.yaml; link.jsonl is a link to answers.jsonl; new.jsonl does
+    # not exist, and --report would overwrite the corpus --out writes there.
+    @pytest.mark.parametrize(
+        "command, extra, named, names",
+        [
+            ("generate", ["--out", "script.jsonl", "--no-resume"], "{tmp}/script.jsonl", "command line: --script and --out"),
+            ("generate", ["--report", "out.jsonl"], "{tmp}/out.jsonl", "command line: --out and --report"),
+            ("eval-chair", ["--report", "answers.jsonl"], "{tmp}/answers.jsonl", "command line: --answers and --report"),
+            ("generate", ["--out", "captions.json"], "{tmp}/captions.json", "command line: --captions and --out"),
+            ("generate", ["--config", "cfg.yaml", "--out", "./rules.yaml"], "{tmp}/rules.yaml", "cfg.yaml: 'rules' and --out"),
+            ("eval-chair", ["--report", "link.jsonl"], "{tmp}/answers.jsonl", "command line: --answers and --report"),
+            ("generate", ["--out", "new.jsonl", "--report", "./new.jsonl", "--no-resume"], "new.jsonl", "command line: --out and --report"),
+        ],
+        ids=["script-as-out", "out-as-report", "answers-as-report", "captions-as-out", "config-rules-as-out", "link-as-report", "report-as-new-out"],
+    )
+    def test_output_naming_an_input_is_exit_1_and_keeps_it(self, tmp_path, caplog, monkeypatch, command, extra, named, names):
+        monkeypatch.chdir(tmp_path)
+        argv = write_field_inputs(tmp_path, command)
+        write_yaml(tmp_path / "rules.yaml", {"rules": [RULE]})
+        write_yaml(tmp_path / "cfg.yaml", {"rules": str(tmp_path / "rules.yaml")})
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "answers.jsonl")
+        if command == "generate":
+            assert run_main(caplog, *argv)[0] == 0  # out.jsonl exists, and resume reads it
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        caplog.clear()
+        code, lines = run_main(caplog, *argv, *extra)
+        named = named.format(tmp=tmp_path)
+        assert (code, lines) == (1, [f"{names} name one file, {named}: the run would overwrite what it reads"])
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    # Writing to a file that is not regular destroys nothing.
+    @pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+    def test_dev_null_may_be_read_and_written(self, caplog):
+        assert run_main(caplog, "stats", "--dataset", "/dev/null", "--report", "/dev/null")[0] == 0
+
+
+class TestEmptyModel:
+    """An empty model id would reach every record and the HTTP body: exit 1 naming its source."""
+
+    @pytest.mark.parametrize("source", ["command line", "config"])
+    def test_empty_model_is_exit_1_before_out_is_touched(self, tmp_path, caplog, mock_generate, source):
+        if source == "config":
+            config = write_yaml(tmp_path / "cfg.yaml", {"model": ""})
+            extra, expected = ["--config", config], f"{config}: 'model' must not be empty"
+        else:
+            extra, expected = ["--model", ""], "command line: --model must not be empty"
+        code, lines = run_main(caplog, *mock_generate, *extra)
+        assert (code, lines) == (1, [expected])
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_empty_environment_model_means_unset(self, tmp_path, caplog, monkeypatch, mock_generate):
+        monkeypatch.setenv("CAP2QA_MODEL", "")
+        assert run_main(caplog, *mock_generate)[0] == 0
+        assert {r.provenance.model_id for r in read_instructions(tmp_path / "o.jsonl")} == {"gpt-3.5-turbo"}

@@ -566,6 +566,20 @@ class TestTornTail:
             generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
         assert torn.read_bytes() == lines[0] + malformed
 
+    # Every line generate writes starts with {"image_id": , so an
+    # unterminated last line that does not, and is not a start of it either,
+    # is no torn record: exit 1 naming the file, and nothing is cut.
+    @pytest.mark.parametrize("kept, tail", [(0, b"some notes, no newline"), (1, b"notes"), (1, b'{"image": 1'), (3, b" ")], ids=["text", "after-a-record", "other-json", "space"])
+    def test_unterminated_line_that_is_not_a_record_is_exit_1(self, tmp_path, kept, tail):
+        captions, cfg, full = self.full_run(tmp_path, 3)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(b"".join(full.splitlines(keepends=True)[:kept]) + tail)
+        before = torn.read_bytes()
+        with pytest.raises(InputError) as info:
+            generate_corpus(captions, cfg, torn, clock=FixedClock(NOW))
+        assert str(info.value) == f"{torn}: the unterminated last line is not a record that generate writes, so resume will not cut it"
+        assert torn.read_bytes() == before
+
     # A kill can tear a caption after some of its lines are written. Captions
     # 0 and 2 get two records each, caption 1 one; captions 0 and 1 show the
     # same image. Lines: 0 and 1 (caption 0), 2 (caption 1), 3 and 4

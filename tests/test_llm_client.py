@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -91,6 +92,17 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             request(max_output_tokens=0)
 
+    # An empty model id would reach the records and the HTTP body.
+    def test_empty_model_id(self):
+        with pytest.raises(ValueError, match="^model_id must be non-empty$"):
+            AssistantRequest(prompt_text="p", model_id="")
+
+
+# A limit of 0 can never admit a call: it is rejected, not read as no limit.
+def test_zero_rate_limit_is_rejected():
+    with pytest.raises(ValueError, match="^rpm must be positive$"):
+        AssistantClient(mock_backend("x"), rate_limit_rpm=0)
+
 
 class TestBackendSpec:
     @pytest.mark.parametrize(
@@ -132,6 +144,19 @@ class TestCacheKey:
     def test_stable(self):
         assert cache_key(request()) == cache_key(request())
 
+    # The key is the content name a cache directory is shared by, so its
+    # formula is pinned: the SHA-256 of this literal canonical JSON, which
+    # the benchmark fixtures also compute on their own.
+    def test_equals_the_sha256_of_the_canonical_json_of_the_request(self):
+        key = cache_key(request("Légende: un chat — 猫", temperature=0.5, max_output_tokens=64))
+        literal = '{"max_output_tokens": 64, "model_id": "gpt-3.5-turbo", "prompt_text": "Légende: un chat — 猫", "temperature": 0.5}'
+        assert key == hashlib.sha256(literal.encode("utf-8")).hexdigest()
+
+
+def test_prompt_hash_is_the_sha256_of_the_prompt_text():
+    text = "Caption:\nUn chat sur un tapis — 猫\n"
+    assert prompt_hash(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 class TestMockScript:
     def test_ordered_consumption(self):
@@ -171,6 +196,15 @@ class TestMockScript:
         with pytest.raises(InputError) as info:
             MockScript.from_file(path)
         assert str(info.value) == f"{path}:2: 'prompt_hash' {message}"
+
+    # Such a key equals no prompt's hash, so its caption would fall through
+    # to the ordered queue and the run would end with an exhausted script.
+    @pytest.mark.parametrize("value", ["abc", "A" * 64, "0" * 63, "0" * 65, " " + "0" * 63, 12345], ids=["short", "upper-case", "63-digits", "65-digits", "space", "number"])
+    def test_from_file_rejects_a_prompt_hash_that_is_not_64_hex_digits(self, tmp_path, value):
+        path = write_jsonl(tmp_path / "s.jsonl", [{"response_text": "plain"}, {"response_text": "x", "prompt_hash": value}])
+        with pytest.raises(InputError) as info:
+            MockScript.from_file(path)
+        assert str(info.value) == f"{path}:2: 'prompt_hash' must be 64 lowercase hex digits, a SHA-256 of a prompt, got {str(value)!r}"
 
     @pytest.mark.parametrize("keyed", [False, True], ids=["ordered", "hash-keyed"])
     def test_from_file_rejects_an_empty_response_text(self, tmp_path, keyed):

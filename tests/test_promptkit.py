@@ -90,26 +90,35 @@ prompt_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_
     text=prompt_text.filter(str.strip),
 )
 def test_render_is_the_seed_line_join(bottom_rules, task, conditions, text):
-    config = PromptConfig.from_parts(bottom_rules, task, conditions)
+    config = PromptConfig(bottom_rules, task, conditions)
     record = caption(text)
     assert render(config, record).rendered == seed_render(config, record)
 
 
 class TestVersionTag:
     def test_tag_tracks_content(self):
-        a = PromptConfig.from_parts(("r1",), "task", ("c1",), label="x")
-        b = PromptConfig.from_parts(("r1",), "task", ("c1", "c2"), label="x")
-        same = PromptConfig.from_parts(("r1",), "task", ("c1",), label="x")
+        a = PromptConfig(("r1",), "task", ("c1",), label="x")
+        b = PromptConfig(("r1",), "task", ("c1", "c2"), label="x")
+        same = PromptConfig(("r1",), "task", ("c1",), label="x")
         assert a.version_tag != b.version_tag
         assert a.version_tag == same.version_tag
 
+    # Records name their prompt by this tag; README shows the default's.
+    def test_default_tag_is_pinned(self):
+        assert default_prompt_config().version_tag == "default-62b0fc0f0232"
+
+    def test_lists_and_tuples_make_one_config(self):
+        from_lists = PromptConfig(["r1", "r2"], "task", ["c1"], label="x")
+        assert from_lists == PromptConfig(("r1", "r2"), "task", ("c1",), label="x")
+        assert (from_lists.bottom_rules, from_lists.conditions) == (("r1", "r2"), ("c1",))
+
     def test_empty_parts_rejected(self):
         with pytest.raises(ValueError):
-            PromptConfig.from_parts((), "task", ("c",))
+            PromptConfig((), "task", ("c",))
         with pytest.raises(ValueError):
-            PromptConfig.from_parts(("r",), "  ", ("c",))
+            PromptConfig(("r",), "  ", ("c",))
         with pytest.raises(ValueError):
-            PromptConfig.from_parts(("r",), "task", ())
+            PromptConfig(("r",), "task", ())
 
 
 class TestYamlRoundTrip:
@@ -134,7 +143,7 @@ class TestYamlRoundTrip:
     def test_number_is_read_as_text_and_label_defaults_to_file_stem(self, tmp_path):
         path = tmp_path / "numbers.yaml"
         path.write_text("bottom_rules: [1]\ntask_description: 5\nconditions: [2.5]\n", encoding="utf-8")
-        assert load_prompt_config(path) == PromptConfig.from_parts(("1",), "5", ("2.5",), label="numbers")
+        assert load_prompt_config(path) == PromptConfig(("1",), "5", ("2.5",), label="numbers")
 
     def test_empty_part_rejected(self, tmp_path):
         path = tmp_path / "prompt.yaml"
