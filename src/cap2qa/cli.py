@@ -28,6 +28,7 @@ from . import __version__
 from .clocks import Clock, FixedClock, SystemClock
 from .corpus import (
     IMAGE_KEYS,
+    _open_output,
     as_kind,
     check_keys,
     dataset_stats,
@@ -113,7 +114,9 @@ def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths
         report["details"] = details
     rendered = report_render(report, "json")
     if args.report is not None:
-        Path(args.report).write_bytes(rendered.encode("utf-8"))
+        data = rendered.encode("utf-8")
+        with _open_output(args.report, "wb") as fh:
+            fh.write(data)
         log.info("report written to %s", args.report)
     else:
         sys.stdout.write(rendered)
@@ -302,16 +305,13 @@ def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str,
 def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
     predictions: dict[str, str] = {}
-    ignored = []
+    ignored: dict[str, str] = {}
     for where, qid, prediction in _id_rows(args.pred, QUESTION_KEYS, str, ("prediction", "answer", "text")):
-        if qid not in references:
-            ignored.append(qid)
-        elif qid in predictions:
+        if qid in predictions or qid in ignored:
             raise InputError(f"{where}: repeated id {qid!r}")
-        else:
-            predictions[qid] = prediction
+        (predictions if qid in references else ignored)[qid] = prediction
     if ignored:
-        log.warning("%d predictions in %s have no question in %s and are ignored (first: %s)", len(ignored), args.pred, args.gt, ignored[:5])
+        log.warning("%d predictions in %s have no question in %s and are ignored (first: %s)", len(ignored), args.pred, args.gt, list(ignored)[:5])
     missing = references.keys() - predictions.keys()
     if missing:
         raise InputError(f"{args.pred}: no prediction for questions {sorted(missing)[:5]}")

@@ -10,7 +10,8 @@ This module also owns the file readers (:func:`load_json`, :func:`iter_jsonl`,
 :func:`load_yaml`, :func:`read_text`), which open every input through one
 opener, so a missing, unreadable or malformed file is always the same
 one-line input error. Every field of those inputs is then read through
-:func:`read_field`, so a missing or wrongly typed field is one too.
+:func:`read_field`, so a missing or wrongly typed field is one too. Outputs
+have an opener of their own, :func:`_open_output`.
 """
 
 from __future__ import annotations
@@ -108,6 +109,19 @@ def _open_input(path: str | Path, mode: str = "r") -> Iterator[IO]:
         raise InputError(f"{path}: is a directory, not a file") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 ({exc.reason})") from exc
+
+
+@contextmanager
+def _open_output(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open an output file as UTF-8 text, or as bytes with a ``"b"`` mode.
+
+    Every file the package writes is opened here, so an :class:`OSError` while it is open, closing included, is one :class:`RuntimeFailure` that names it.
+    """
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise RuntimeFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _first_non_utf8_line(path: str | Path) -> int:
@@ -377,15 +391,10 @@ def _record_from_dict(obj: dict, where: str) -> InstructionRecord:
 
 def write_instructions(path: str | Path, records: Iterable[InstructionRecord]) -> int:
     """Write records as JSONL; returns the number of lines written."""
-    path = Path(path)
     count = 0
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(record_to_line(record) + "\n")
-                count += 1
-    except OSError as exc:
-        raise RuntimeFailure(f"cannot write {path}: {exc}") from exc
+    with _open_output(path) as fh:
+        for count, record in enumerate(records, start=1):
+            fh.write(record_to_line(record) + "\n")
     return count
 
 
@@ -412,11 +421,7 @@ def drop_torn_tail(path: str | Path) -> None:
     scan. An unterminated last line that :func:`record_to_line` cannot have
     begun is no torn record: it is an :class:`InputError`, and nothing is cut.
     """
-    try:
-        fh = open(path, "rb+")
-    except OSError as exc:
-        raise RuntimeFailure(f"cannot open {path}: {exc}") from exc
-    with fh:
+    with _open_output(path, "rb+") as fh:
         fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
         if fh.read(1) in (b"", b"\n"):
             return

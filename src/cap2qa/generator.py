@@ -38,11 +38,11 @@ from .corpus import (
     InstructionRecord,
     Provenance,
     QAPair,
+    _open_output,
     drop_torn_tail,
     read_instructions,
     record_to_line,
 )
-from .errors import RuntimeFailure
 from .filters import FilterRule, check_rules, default_rules, filter_artifacts
 from .llm_client import AssistantClient, AssistantRequest, Backoff, BackendSpec, park_retries
 from .promptkit import PromptConfig, default_prompt_config, render
@@ -264,9 +264,10 @@ def generate_corpus(
     appended; an unterminated last line there is dropped first, as
     :func:`~cap2qa.corpus.drop_torn_tail` says. ``clock`` only stamps the
     records; a client built here paces its rate limiter and backoff in real
-    time. A failure is raised as it came, for the caller to report. The
-    output then holds the records of the captions before the first caption
-    that did not finish, and no others, at any worker count.
+    time. A failure is raised as it came, a failed write as a RuntimeFailure
+    naming its file, for the caller to report. The output then holds the
+    records of the captions before the first caption that did not finish,
+    and no others, at any worker count.
     """
     clock = clock or SystemClock()
     out_path = Path(out_path)
@@ -274,7 +275,7 @@ def generate_corpus(
     client = client or make_client(config)
 
     existing: list[InstructionRecord] = []
-    if resume and out_path.exists():
+    if resume and out_path.is_file():  # a device or a FIFO, such as /dev/zero, is only written
         drop_torn_tail(out_path)
         existing = read_instructions(out_path)
     covered_ids = {cid for record in existing for cid in record.source_caption_ids}
@@ -284,14 +285,8 @@ def generate_corpus(
 
     covered_images = {r.image_id for r in existing}
     n_records = n_exhausted = 0
-
-    try:
-        out = open(out_path, "a" if existing else "w", encoding="utf-8")
-    except OSError as exc:
-        raise RuntimeFailure(f"cannot open {out_path}: {exc}") from exc
-
     outcomes = _in_order(todo, lambda caption: generate_for_caption(caption, config, client=client, clock=clock), config.workers)
-    with out, closing(outcomes):
+    with _open_output(out_path, "a" if existing else "w") as out, closing(outcomes):
         for caption, outcome in outcomes:
             if not outcome.records:
                 n_exhausted += 1

@@ -34,7 +34,7 @@ from urllib.parse import urlsplit
 import requests
 
 from .clocks import Clock, SystemClock
-from .corpus import check_keys, iter_jsonl, read_field, sha256_hex, utf8_text
+from .corpus import _open_output, check_keys, iter_jsonl, read_field, sha256_hex, utf8_text
 from .errors import InputError, RuntimeFailure, ScriptExhaustedError
 
 API_KEY_ENV = "CAP2QA_API_KEY"
@@ -173,13 +173,13 @@ class ResponseCache:
     def put(self, key: str, text: str) -> None:
         path = self._path(key)
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
+        with _open_output(tmp) as fh:
+            try:
                 json.dump({"text": text}, fh, ensure_ascii=False)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+                fh.close()
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
 
 
 class RateLimiter:
@@ -323,7 +323,7 @@ class AssistantClient:
                 self.limiter.acquire()
             try:
                 response = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+            except OSError as exc:  # every requests.RequestException, and plain ones requests raises (a missing CA bundle)
                 last_problem = f"{type(exc).__name__}: {exc}"
             else:
                 status = response.status_code

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import time
@@ -158,7 +159,7 @@ class TestGenerate:
         out = tmp_path / "missing" / "o.jsonl"
         code, lines = run_main(caplog, *mock_generate, "--out", out)
         assert code == 2
-        assert lines[-1].startswith(f"cannot open {out}: ")
+        assert lines[-1].startswith(f"cannot write {out}: ")
 
     def test_write_error_mid_run_is_exit_2(self, tmp_path, caplog, monkeypatch):
         def no_space(record):
@@ -166,7 +167,35 @@ class TestGenerate:
 
         monkeypatch.setattr(generator, "record_to_line", no_space)
         code, lines = run_main(caplog, *write_field_inputs(tmp_path, "generate"), "--workers", "4")
-        assert (code, lines[-1]) == (2, "[Errno 28] No space left on device")
+        assert (code, lines[-1]) == (2, f"cannot write {tmp_path / 'out.jsonl'}: No space left on device")
+
+    # A failed cache write names the entry under --cache-dir, not --out, and leaves no temp file.
+    def test_a_failed_cache_write_names_the_entry(self, tmp_path, caplog, mock_generate, monkeypatch):
+        def no_space(obj, fh, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", no_space)
+        cache = tmp_path / "cache"
+        code, lines = run_main(caplog, *mock_generate, "--cache-dir", cache)
+        assert code == 2
+        assert re.fullmatch(rf"cannot write {re.escape(str(cache))}/[0-9a-f]{{64}}\.tmp-\d+-\d+: No space left on device", lines[-1])
+        assert list(cache.iterdir()) == []
+
+    # requests raises plain OSErrors of its own, as for a missing CA bundle:
+    # they are retried, and the run's error names the URL, not --out.
+    def test_a_raw_os_error_from_http_names_the_url(self, tmp_path, caplog, monkeypatch):
+        def no_bundle(session, url, **kwargs):
+            raise OSError("Could not find a suitable TLS CA certificate bundle, invalid path: /nonexistent")
+
+        monkeypatch.setattr(requests.Session, "post", no_bundle)
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
+        code, lines = run_main(caplog, "generate", "--captions", captions, "--out", tmp_path / "o.jsonl", "--base-url", "http://127.0.0.1:9/v1")
+        assert (code, lines[-1]) == (
+            2,
+            "http://127.0.0.1:9/v1/chat/completions unavailable after 5 attempts "
+            "(OSError: Could not find a suitable TLS CA certificate bundle, invalid path: /nonexistent)",
+        )
 
     def test_corrupt_cache_entry_is_fetched_again(self, tmp_path, mock_generate):
         cache = tmp_path / "cache"
@@ -655,12 +684,52 @@ def run_main(caplog, *argv):
     return code, [line for r in caplog.records for line in r.getMessage().splitlines()]
 
 
-def run_process(*argv):
-    """Run the CLI as ``python -m cap2qa.cli``, so its stderr is what a user sees."""
+def run_process(*argv, memory_cap_mb=None):
+    """Run the CLI as ``python -m cap2qa.cli``, so its stderr is what a user sees.
+
+    ``memory_cap_mb`` caps the child's address space, so that a run that
+    reads without end fails with a ``MemoryError`` instead of filling memory.
+    """
     src = str(Path(cap2qa.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [str(a) for a in argv]
-    return subprocess.run([sys.executable, "-m", "cap2qa.cli", *argv], capture_output=True, text=True, env=env, timeout=60)
+    entry = ["-m", "cap2qa.cli"]
+    if memory_cap_mb is not None:
+        cap = f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({memory_cap_mb} << 20,) * 2)"
+        entry = ["-c", f"{cap}; from cap2qa.cli import main; sys.exit(main())"]
+    return subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestDeviceOutputs:
+    """A device as an output is written, never read back, and a failed write is one ERROR line naming it."""
+
+    @staticmethod
+    def error_lines(proc):
+        return [line for line in proc.stderr.splitlines() if not line.startswith("INFO ")]
+
+    @needs_dev_full
+    @pytest.mark.parametrize("resume", ["--resume", "--no-resume"])
+    def test_generate_into_dev_full_is_exit_2_naming_it(self, mock_generate, resume):
+        argv = [str(a) for a in mock_generate]
+        argv[argv.index("--out") + 1] = "/dev/full"
+        proc = run_process(*argv, resume, memory_cap_mb=512)
+        assert (proc.returncode, self.error_lines(proc)) == (2, ["ERROR cap2qa: cannot write /dev/full: No space left on device"])
+
+    # /dev/zero reads as NUL bytes without end: resume must not read it back.
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_generate_into_dev_zero_with_resume_is_exit_0(self, mock_generate):
+        argv = [str(a) for a in mock_generate]
+        argv[argv.index("--out") + 1] = "/dev/zero"
+        proc = run_process(*argv, memory_cap_mb=512)
+        assert (proc.returncode, self.error_lines(proc)) == (0, [])
+
+    @needs_dev_full
+    def test_a_report_into_dev_full_is_exit_2_naming_it(self, tmp_path):
+        proc = run_process(*write_field_inputs(tmp_path, "eval-vqa"), "--report", "/dev/full")
+        assert (proc.returncode, self.error_lines(proc)) == (2, ["ERROR cap2qa: cannot write /dev/full: No space left on device"])
 
 
 @pytest.fixture
@@ -822,6 +891,16 @@ class TestInputErrors:
         )
         code, lines = run_main(caplog, "eval-vqa", "--pred", pred, "--gt", gt)
         assert (code, lines) == (1, [f"{pred}:3: repeated id 'q1'"])
+
+    # One repeat rule for every prediction row: an id that --gt lacks is not counted twice as ignored.
+    def test_repeated_pred_question_id_not_in_gt_is_exit_1(self, tmp_path, caplog):
+        gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": "q1", "answer": "dog"}])
+        pred = write_jsonl(
+            tmp_path / "p.jsonl",
+            [{"question_id": "9", "prediction": "dog"}, {"question_id": "9", "prediction": "cat"}, {"question_id": "q1", "prediction": "dog"}],
+        )
+        code, lines = run_main(caplog, "eval-vqa", "--pred", pred, "--gt", gt)
+        assert (code, lines) == (1, [f"{pred}:2: repeated id '9'"])
 
     def test_empty_caption_predictions_is_exit_1(self, tmp_path, caplog):
         refs = write_jsonl(tmp_path / "refs.jsonl", [{"image_id": 1, "captions": ["a red bird"]}])
@@ -1313,7 +1392,7 @@ class TestUnreadableInputs:
         out = Path(argv[argv.index("--out") + 1])
         out.mkdir()
         code, lines = run_main(caplog, *argv)
-        assert code == 2 and lines[-1].startswith(f"cannot open {out}: ")
+        assert code == 2 and lines[-1].startswith(f"cannot write {out}: ")
 
     # An empty path flag would name the working directory or no file: exit 1
     # naming the flag, before any input is read or --out or --report is touched.

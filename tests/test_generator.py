@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cap2qa import generator
 from cap2qa.clocks import FixedClock
 from cap2qa.corpus import CaptionRecord, read_instructions
-from cap2qa.errors import InputError, ScriptExhaustedError
+from cap2qa.errors import InputError, RuntimeFailure, ScriptExhaustedError
 from cap2qa.filters import default_rules
 from cap2qa.generator import (
     GeneratorConfig,
@@ -439,7 +439,8 @@ class TestPoolWindow:
 
     # The same holds for a failure in the writer: caption 1's record cannot be
     # written once caption 2 has started. The queued captions are cancelled,
-    # caption 2 is not written, and the OSError propagates.
+    # caption 2 is not written, and the error propagates as a RuntimeFailure
+    # that names the output.
     def test_a_write_error_cancels_the_queued_captions(self, tmp_path, monkeypatch):
         captions = [caption(cid=i, image_id=100 + i, text=f"caption {i}") for i in range(6)]
         cfg = config(workers=2, retry=1)
@@ -467,7 +468,7 @@ class TestPoolWindow:
         monkeypatch.setattr(generator, "record_to_line", fail_at_1)
         client = ScriptedClient(cfg, captions, hook)
         out = tmp_path / "out.jsonl"
-        with pytest.raises(OSError, match="No space left on device"):
+        with pytest.raises(RuntimeFailure, match=f"^cannot write {re.escape(str(out))}: No space left on device$"):
             try:
                 generate_corpus(captions, cfg, out, clock=FixedClock(NOW), client=client)
             finally:

@@ -265,6 +265,15 @@ class TestComplete:
             cache.put("k", "Answer: \ud83d")
         assert list(cache.root.iterdir()) == []
 
+    # The replace is part of the write: an entry path it cannot take is a RuntimeFailure naming the file written.
+    def test_a_failed_cache_replace_is_a_runtime_failure_and_leaves_no_file(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        (cache.root / "k.json").mkdir()
+        (cache.root / "k.json" / "x").touch()
+        with pytest.raises(RuntimeFailure, match=rf"^cannot write {re.escape(str(cache.root))}/k\.tmp-\d+-\d+: "):
+            cache.put("k", "Answer: A.")
+        assert [p.name for p in cache.root.iterdir()] == ["k.json"]
+
     def test_cache_does_not_leak_across_models(self, tmp_path):
         client = AssistantClient(mock_backend("a", "b"), cache_dir=tmp_path / "cache", clock=FixedClock(NOW))
         one = client.complete(request())
@@ -303,6 +312,13 @@ class TestHttp:
         )
         assert client.complete(request()) == "ok"
         assert len(session.calls) == 2
+
+    # requests raises plain OSErrors too, as for a missing CA bundle: retried like a network error.
+    def test_a_raw_os_error_is_retried_and_names_the_url(self):
+        client, session = http_client([OSError("no CA bundle")] * 3, retry=RetryPolicy(max_attempts=3))
+        with pytest.raises(RuntimeFailure, match=r"^https://api\.example\.test/v1/chat/completions unavailable after 3 attempts \(OSError: no CA bundle\)$"):
+            client.complete(request())
+        assert (len(session.calls), len(client.clock.sleeps)) == (3, 2)
 
     def test_exhaustion_raises_unavailable(self):
         client, session = http_client(
