@@ -15,10 +15,10 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 
 from .errors import InputError
 from .porter import stem
@@ -116,15 +116,6 @@ def bleu(eval_set: CaptionEvalSet) -> list[float]:
     return scores
 
 
-def _tfidf_norms(counts: Counter, idf: dict, log_corpus_size: float) -> list[float]:
-    """Per-order norms of one text's TF-IDF weights: term frequency times idf, or log N for an unseen n-gram."""
-    idf_get = idf.get
-    norm = [0.0] * NGRAM_ORDERS
-    for ngram, term_freq in counts.items():
-        norm[len(ngram) - 1] += (term_freq * idf_get(ngram, log_corpus_size)) ** 2
-    return [math.sqrt(x) for x in norm]
-
-
 def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[float]:
     if not eval_set.items:
         raise InputError("CIDEr needs at least one item")
@@ -132,7 +123,9 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[f
         log.warning("CIDEr over a single item: document frequency degenerates and the score is 0")
 
     # Each distinct text is stemmed once, and each distinct stemmed sequence counted once:
-    # texts that differ only in case or punctuation share one Counter.
+    # texts that differ only in case or punctuation share one Counter. Its keys are n-gram ids,
+    # numbered in first-seen order within this call, so each distinct n-gram is stored once.
+    ids = defaultdict(count().__next__)
     stemmed: dict[str, tuple[str, ...]] = {}
     counted: dict[tuple[str, ...], Counter] = {}
     for item in eval_set.items:
@@ -140,41 +133,46 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[f
             if text not in stemmed:
                 tokens = stemmed[text] = tuple(map(_stem_cached, tokenize(text)))
                 if tokens not in counted:
-                    counted[tokens] = _ngram_counts(tokens)
+                    counted[tokens] = Counter(map(ids.__getitem__, _ngrams(tokens)))
+    # Each id's order, n - 1; the n-gram tuples are not needed past here.
+    order = [len(ngram) - 1 for ngram in ids]
+    del ids
 
-    # A document is one item's reference set; an n-gram in none of them gets log N.
-    doc_freq: Counter = Counter()
-    for item in eval_set.items:
-        doc_freq.update(set().union(*(counted[stemmed[r]] for r in item.references)))
+    # A document is one item's reference set; an n-gram in none of them takes df 1, so its idf is log N.
+    ref_sets = (set().union(*(counted[stemmed[r]] for r in item.references)) for item in eval_set.items)
+    doc_freq = Counter(chain.from_iterable(ref_sets))
     log_corpus_size = math.log(len(eval_set.items))
-    idf = {ngram: log_corpus_size - math.log(max(1, df)) for ngram, df in doc_freq.items()}
+    idf = [log_corpus_size - math.log(doc_freq.get(i, 1)) for i in range(len(order))]
     # Each distinct stemmed sequence's counts, length and per-order TF-IDF norms.
-    sequences = {tokens: (counts, len(tokens), _tfidf_norms(counts, idf, log_corpus_size)) for tokens, counts in counted.items()}
-    idf_get = idf.get
+    sequences = {}
+    for tokens, counts in counted.items():
+        norm = [0.0] * NGRAM_ORDERS
+        for i, term_freq in counts.items():
+            norm[order[i]] += (term_freq * idf[i]) ** 2
+        sequences[tokens] = (counts, len(tokens), [math.sqrt(x) for x in norm])
 
     scores: list[float] = []
     for item in eval_set.items:
         cand, cand_len, cand_norm = sequences[stemmed[item.candidate]]
-        cand_vec = {ngram: term_freq * idf_get(ngram, log_corpus_size) for ngram, term_freq in cand.items()}
+        cand_vec = [(i, term_freq * idf[i]) for i, term_freq in cand.items()]
         per_n_total = [0.0] * NGRAM_ORDERS
         for ref_text in item.references:
             ref, ref_len, ref_norm = sequences[stemmed[ref_text]]
             ref_get = ref.get
-            # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped;
-            # a shared one is in a reference, so it has an idf.
+            # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped.
             dot = [0.0] * NGRAM_ORDERS
             if cider_d:
-                for ngram, weight in cand_vec.items():
-                    term_freq = ref_get(ngram)
+                for i, weight in cand_vec:
+                    term_freq = ref_get(i)
                     if term_freq is not None:
-                        other = term_freq * idf[ngram]
-                        dot[len(ngram) - 1] += min(weight, other) * other
+                        other = term_freq * idf[i]
+                        dot[order[i]] += min(weight, other) * other
                 penalty = math.exp(-(float(cand_len - ref_len) ** 2) / (2 * CIDER_D_SIGMA**2))
             else:
-                for ngram, weight in cand_vec.items():
-                    term_freq = ref_get(ngram)
+                for i, weight in cand_vec:
+                    term_freq = ref_get(i)
                     if term_freq is not None:
-                        dot[len(ngram) - 1] += weight * (term_freq * idf[ngram])
+                        dot[order[i]] += weight * (term_freq * idf[i])
                 penalty = 1.0
             for n in range(NGRAM_ORDERS):
                 if cand_norm[n] != 0.0 and ref_norm[n] != 0.0:

@@ -323,8 +323,10 @@ class AssistantClient:
                 self.limiter.acquire()
             try:
                 response = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
-            except OSError as exc:  # every requests.RequestException, and plain ones requests raises (a missing CA bundle)
+            except requests.RequestException as exc:
                 last_problem = f"{type(exc).__name__}: {exc}"
+            except OSError as exc:  # a plain one from requests (a missing CA bundle): no retry fixes it
+                raise RuntimeFailure(f"{url} failed ({type(exc).__name__}: {exc})") from exc
             else:
                 status = response.status_code
                 if status in (401, 403):

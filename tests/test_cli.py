@@ -182,20 +182,24 @@ class TestGenerate:
         assert list(cache.iterdir()) == []
 
     # requests raises plain OSErrors of its own, as for a missing CA bundle:
-    # they are retried, and the run's error names the URL, not --out.
+    # no retry fixes one, so it fails at once, and the error names the URL, not --out.
     def test_a_raw_os_error_from_http_names_the_url(self, tmp_path, caplog, monkeypatch):
+        calls, sleeps = [], []
+
         def no_bundle(session, url, **kwargs):
+            calls.append(url)
             raise OSError("Could not find a suitable TLS CA certificate bundle, invalid path: /nonexistent")
 
         monkeypatch.setattr(requests.Session, "post", no_bundle)
-        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
         captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
         code, lines = run_main(caplog, "generate", "--captions", captions, "--out", tmp_path / "o.jsonl", "--base-url", "http://127.0.0.1:9/v1")
         assert (code, lines[-1]) == (
             2,
-            "http://127.0.0.1:9/v1/chat/completions unavailable after 5 attempts "
+            "http://127.0.0.1:9/v1/chat/completions failed "
             "(OSError: Could not find a suitable TLS CA certificate bundle, invalid path: /nonexistent)",
         )
+        assert (len(calls), sleeps) == (1, [])
 
     def test_corrupt_cache_entry_is_fetched_again(self, tmp_path, mock_generate):
         cache = tmp_path / "cache"

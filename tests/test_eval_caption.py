@@ -1,12 +1,17 @@
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cap2qa
 from cap2qa.errors import InputError
 from cap2qa.eval_caption import (
     CaptionEvalSet,
@@ -465,3 +470,65 @@ def test_scores_equal_the_seed_scorers_bit_for_bit(items):
     assert bleu(eval_set) == seed_bleu(eval_set)
     assert cider_per_item(eval_set) == seed_cider_per_item(eval_set)
     assert cider_per_item(eval_set, cider_d=True) == seed_cider_per_item(eval_set, cider_d=True)
+
+
+# --- n-gram ids: edge cases of the id-keyed scorer ---------------------------
+#
+# `cider_per_item` numbers each distinct n-gram within one call. Each case
+# below must equal the seed scorer bit for bit and the TF-IDF oracles to 1e-9,
+# for plain CIDEr and CIDEr-D.
+
+
+def assert_equals_seed_and_oracles(items):
+    """The plain and CIDEr-D scores, each checked against the seed scorer and its oracle."""
+    eval_set = corpus(*items)
+    both = []
+    for cider_d, oracle in ((False, oracle_cider), (True, oracle_cider_d)):
+        scores = cider_per_item(eval_set, cider_d=cider_d)
+        assert scores == seed_cider_per_item(eval_set, cider_d=cider_d)
+        assert scores == pytest.approx(oracle(items), abs=1e-9)
+        both.append(scores)
+    return both
+
+
+class TestNgramIds:
+    def test_a_candidate_ngram_in_no_reference_gets_log_n(self):
+        # `zebra` and `cat zebra` are in no reference set: each weighs log 2, as `cat` does,
+        # so the unigram cosine is 1/sqrt(2); with idf 0 it would be 1.
+        plain, clipped = assert_equals_seed_and_oracles([("cat zebra", ["cat"]), ("dog", ["dog"])])
+        assert plain[0] == pytest.approx(10 / (4 * math.sqrt(2)), abs=1e-12)
+        assert clipped[0] == pytest.approx(10 / (4 * math.sqrt(2)) * math.exp(-1 / 72), abs=1e-12)
+
+    @pytest.mark.parametrize("empty", ["", "..."])
+    def test_a_text_with_no_tokens(self, empty):
+        items = [(empty, ["a cat sits"]), ("a dog runs", [empty]), (empty, [empty, "a dog"]), ("a cat sits", ["a cat sits", empty])]
+        plain, clipped = assert_equals_seed_and_oracles(items)
+        assert plain[:3] == clipped[:3] == [0.0, 0.0, 0.0]
+
+    def test_a_one_item_corpus_scores_0_and_warns_once(self, caplog):
+        caplog.set_level(logging.WARNING, logger="cap2qa")
+        for cider_d in (False, True):
+            caplog.clear()
+            assert cider_per_item(corpus(("a cat sits", ["a cat sits", "the cat"])), cider_d=cider_d) == [0.0]
+            assert [r.getMessage() for r in caplog.records] == [
+                "CIDEr over a single item: document frequency degenerates and the score is 0"
+            ]
+        assert_equals_seed_and_oracles([("a cat sits", ["a cat sits", "the cat"])])
+
+    def test_no_id_table_is_kept_across_calls(self):
+        # The same corpus scored in a fresh process, and here after a corpus whose n-grams
+        # would take the low ids first if a table were kept.
+        items = [("a dog runs in a park", ["the dog runs", "a dog in the park"]), ("two birds fly", ["birds flying high"])]
+        other = [("birds fly over a park", ["a park with birds"]), ("the dog sleeps", ["a dog naps"])]
+        script = (
+            "from cap2qa.eval_caption import CaptionEvalSet, CaptionItem, cider_per_item\n"
+            f"items = [CaptionItem(i, c, tuple(r)) for i, (c, r) in enumerate({items!r})]\n"
+            "for d in (False, True): print(*map(float.hex, cider_per_item(CaptionEvalSet(items), cider_d=d)))\n"
+        )
+        src = str(Path(cap2qa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True)
+        assert_equals_seed_and_oracles(other)
+        here = [" ".join(map(float.hex, cider_per_item(corpus(*items), cider_d=d))) for d in (False, True)]
+        assert here == fresh.stdout.splitlines()
+        assert_equals_seed_and_oracles(items)

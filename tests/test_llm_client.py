@@ -313,12 +313,12 @@ class TestHttp:
         assert client.complete(request()) == "ok"
         assert len(session.calls) == 2
 
-    # requests raises plain OSErrors too, as for a missing CA bundle: retried like a network error.
-    def test_a_raw_os_error_is_retried_and_names_the_url(self):
+    # requests raises plain OSErrors too, as for a missing CA bundle: no retry fixes one, so it fails at once.
+    def test_a_raw_os_error_is_not_retried_and_names_the_url(self):
         client, session = http_client([OSError("no CA bundle")] * 3, retry=RetryPolicy(max_attempts=3))
-        with pytest.raises(RuntimeFailure, match=r"^https://api\.example\.test/v1/chat/completions unavailable after 3 attempts \(OSError: no CA bundle\)$"):
+        with pytest.raises(RuntimeFailure, match=r"^https://api\.example\.test/v1/chat/completions failed \(OSError: no CA bundle\)$"):
             client.complete(request())
-        assert (len(session.calls), len(client.clock.sleeps)) == (3, 2)
+        assert (len(session.calls), len(client.clock.sleeps)) == (1, 0)
 
     def test_exhaustion_raises_unavailable(self):
         client, session = http_client(
