@@ -408,6 +408,19 @@ def read_instructions(path: str | Path) -> list[InstructionRecord]:
     return list(iter_instructions(path))
 
 
+def _check_recipe(path: str | Path, recipe: tuple[str, str]) -> None:
+    """Raise an :class:`InputError` at the first record of ``path`` not made by ``recipe``, ``(model_id, prompt_version)``; cut nothing."""
+    with _open_input(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                provenance = json.loads(line)["provenance"]
+                made = (provenance["model_id"], provenance["prompt_version"])
+            except (ValueError, TypeError, KeyError):  # a torn line or no record: left to the resume read
+                continue
+            if made != recipe:
+                raise InputError(f"{path}:{line_no}: record made with (model_id, prompt_version) {made!r}, but this run's are {recipe!r}; resume continues one recipe only, so pass --no-resume or a new --out")
+
+
 def drop_torn_tail(path: str | Path) -> None:
     """Cut an unterminated last line, the trace of a run killed mid-write, off ``path``.
 

@@ -63,11 +63,6 @@ def _ngrams(t: tuple[str, ...]):
     return chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]), zip(t, t[1:], t[2:], t[3:]))
 
 
-def _ngram_counts(t: tuple[str, ...]) -> Counter:
-    """Counts of every n-gram, keyed by order then first position."""
-    return Counter(_ngrams(t))
-
-
 def bleu(eval_set: CaptionEvalSet) -> list[float]:
     """Corpus-level BLEU-1..4.
 
@@ -92,7 +87,7 @@ def bleu(eval_set: CaptionEvalSet) -> list[float]:
         for n in range(NGRAM_ORDERS):
             guess[n] += max(0, len(cand) - n)
         # Each candidate n-gram is clipped to its highest count in one reference; one in no reference adds 0.
-        cand_counts = _ngram_counts(cand)
+        cand_counts = Counter(_ngrams(cand))
         ref_ngrams = [list(_ngrams(r)) for r in refs]
         for ngram in set().union(*ref_ngrams).intersection(cand_counts):
             count = cand_counts[ngram]
@@ -160,20 +155,14 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[f
             ref, ref_len, ref_norm = sequences[stemmed[ref_text]]
             ref_get = ref.get
             # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped.
+            # CIDEr-D clips the candidate's weight at the reference's.
             dot = [0.0] * NGRAM_ORDERS
-            if cider_d:
-                for i, weight in cand_vec:
-                    term_freq = ref_get(i)
-                    if term_freq is not None:
-                        other = term_freq * idf[i]
-                        dot[order[i]] += min(weight, other) * other
-                penalty = math.exp(-(float(cand_len - ref_len) ** 2) / (2 * CIDER_D_SIGMA**2))
-            else:
-                for i, weight in cand_vec:
-                    term_freq = ref_get(i)
-                    if term_freq is not None:
-                        dot[order[i]] += weight * (term_freq * idf[i])
-                penalty = 1.0
+            for i, weight in cand_vec:
+                term_freq = ref_get(i)
+                if term_freq is not None:
+                    other = term_freq * idf[i]
+                    dot[order[i]] += (min(weight, other) if cider_d else weight) * other
+            penalty = math.exp(-(float(cand_len - ref_len) ** 2) / (2 * CIDER_D_SIGMA**2)) if cider_d else 1.0
             for n in range(NGRAM_ORDERS):
                 if cand_norm[n] != 0.0 and ref_norm[n] != 0.0:
                     per_n_total[n] += dot[n] / (cand_norm[n] * ref_norm[n]) * penalty

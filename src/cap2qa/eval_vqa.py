@@ -2,9 +2,10 @@
 
 Each item carries up to several reference answers. A reference "matches"
 either by containment in the prediction (after light normalization) or by
-exact equality (after additionally dropping articles). The item score is
-min(1, matches / 3) kept as an exact rational; the strict variant counts
-exact equality only. Raw mode disables all normalization.
+exact equality (after additionally dropping articles); an empty reference
+only by equality. The item score is min(1, matches / 3) kept as an exact
+rational; the strict variant counts exact equality only. Raw mode disables
+all normalization.
 
 Matching works on precomputed forms: one ``normalize`` call per string
 gives both the light and the article-free form, and :func:`evaluate`
@@ -19,6 +20,7 @@ import string
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import InputError
 
@@ -45,8 +47,8 @@ def _forms(text: str) -> tuple[str, str]:
 
 
 def _raw_forms(text: str) -> tuple[str, str]:
-    # Raw mode matches the text itself; equality implies containment, so
-    # the match rule below reduces to ``ref in pred`` (or ``==`` if strict).
+    # Raw mode matches the text itself: the match rule below reduces to
+    # ``ref in pred`` for a non-empty ref, else (or if strict) to ``==``.
     return text, text
 
 
@@ -54,14 +56,14 @@ def _match_count(prediction: str, references: Sequence[str], strict: bool, forms
     """References matching ``prediction``, capped at MATCH_CAP.
 
     A reference matches on equal exact forms or, unless ``strict``, when
-    its loose form occurs in the prediction's; partial credit is thus a
-    superset of strict credit.
+    its loose form is not empty (``""`` occurs in every string) and occurs in
+    the prediction's; partial credit is thus a superset of strict credit.
     """
     loose_pred, exact_pred = forms(prediction)
     matched = 0
     for reference in references:
         loose_ref, exact_ref = forms(reference)
-        if exact_ref == exact_pred or (not strict and loose_ref in loose_pred):
+        if exact_ref == exact_pred or (not strict and loose_ref and loose_ref in loose_pred):
             matched += 1
     return min(MATCH_CAP, matched)
 
@@ -87,15 +89,7 @@ def evaluate(predictions: Mapping[str, str], references: Mapping[str, Sequence[s
     is exact-equality accuracy; the mean is an exact rational, 0 for no
     predictions. An id with missing or empty references is an :class:`InputError`.
     """
-    memo: dict[str, tuple[str, str]] = {}
-
-    def memo_forms(text: str) -> tuple[str, str]:
-        found = memo.get(text)
-        if found is None:
-            found = memo[text] = _forms(text)
-        return found
-
-    forms = _raw_forms if raw else memo_forms
+    forms = _raw_forms if raw else cache(_forms)
     per_item: dict[str, Fraction] = {}
     total = 0
     for question_id, prediction in predictions.items():

@@ -38,6 +38,7 @@ from .corpus import (
     InstructionRecord,
     Provenance,
     QAPair,
+    _check_recipe,
     _open_output,
     drop_torn_tail,
     read_instructions,
@@ -261,10 +262,11 @@ def generate_corpus(
     Output order equals caption input order at any worker count, as
     :func:`_in_order` says. With ``resume`` (default), captions that already
     contributed records to the output file are skipped and new records are
-    appended; an unterminated last line there is dropped first, as
-    :func:`~cap2qa.corpus.drop_torn_tail` says. ``clock`` only stamps the
-    records; a client built here paces its rate limiter and backoff in real
-    time. A failure is raised as it came, a failed write as a RuntimeFailure
+    appended, unless a record there names another model or prompt version
+    (an InputError, with nothing cut); an unterminated last line there is
+    dropped first, as :func:`~cap2qa.corpus.drop_torn_tail` says. ``clock``
+    only stamps the records; a client built here paces its rate limiter and
+    backoff in real time. A failure is raised as it came, a failed write as a RuntimeFailure
     naming its file, for the caller to report. The output then holds the
     records of the captions before the first caption that did not finish,
     and no others, at any worker count.
@@ -276,6 +278,7 @@ def generate_corpus(
 
     existing: list[InstructionRecord] = []
     if resume and out_path.is_file():  # a device or a FIFO, such as /dev/zero, is only written
+        _check_recipe(out_path, (config.model_id, config.prompt.version_tag))
         drop_torn_tail(out_path)
         existing = read_instructions(out_path)
     covered_ids = {cid for record in existing for cid in record.source_caption_ids}

@@ -17,7 +17,7 @@ from cap2qa import cli, generator
 from cap2qa.cli import main
 from cap2qa.corpus import CaptionRecord, load_coco_captions, read_instructions
 from cap2qa.llm_client import BackendSpec, MockScript, prompt_hash
-from cap2qa.promptkit import default_prompt_config, render
+from cap2qa.promptkit import default_prompt_config, load_prompt_config, render
 
 from conftest import write_caption_file, write_instance_file, write_jsonl
 
@@ -1518,3 +1518,70 @@ class TestEmptyModel:
         monkeypatch.setenv("CAP2QA_MODEL", "")
         assert run_main(caplog, *mock_generate)[0] == 0
         assert {r.provenance.model_id for r in read_instructions(tmp_path / "o.jsonl")} == {"gpt-3.5-turbo"}
+
+
+class TestResumeRecipe:
+    """A resume continues only the recipe, ``(model_id, prompt_version)``, of the records already in --out."""
+
+    ENTRIES = [(1, 10, "A cat sits."), (2, 11, "A dog runs."), (3, 12, "A bird flies.")]
+    REPLIES = ["Question: What sits?\nAnswer: A cat.", "Question: What runs?\nAnswer: A dog.", "Question: What flies?\nAnswer: A bird."]
+
+    @pytest.fixture
+    def failed_run(self, tmp_path):
+        """``model-a`` writes two of three captions, then its script runs out (exit 2); returns the resume's argv and --out."""
+        captions = write_caption_file(tmp_path / "c.json", self.ENTRIES)
+        two = write_jsonl(tmp_path / "two.jsonl", [{"response_text": reply} for reply in self.REPLIES[:2]])
+        script = write_jsonl(tmp_path / "s.jsonl", hash_script_rows(zip(self.ENTRIES, self.REPLIES)))
+        out = tmp_path / "o.jsonl"
+        argv = ["generate", "--captions", captions, "--out", out, "--backend", "mock", "--retry", "1", "--fixed-clock", "2024-05-01T00:00:00+00:00"]
+        assert main([str(a) for a in [*argv, "--script", two, "--model", "model-a"]]) == 2
+        assert len(read_instructions(out)) == 2
+        return [*argv, "--script", script], out
+
+    @staticmethod
+    def mismatch(out, made, run):
+        return (
+            f"{out}:1: record made with (model_id, prompt_version) {made!r}, but this run's are {run!r}; "
+            "resume continues one recipe only, so pass --no-resume or a new --out"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_another_model_is_exit_1_and_out_keeps_its_bytes(self, caplog, failed_run, workers):
+        argv, out = failed_run
+        before = out.read_bytes()
+        code, lines = run_main(caplog, *argv, "--model", "model-b", "--workers", workers)
+        tag = default_prompt_config().version_tag
+        assert (code, lines[-1]) == (1, self.mismatch(out, ("model-a", tag), ("model-b", tag)))
+        assert out.read_bytes() == before
+
+    def test_another_model_is_one_error_line_in_a_process(self, failed_run):
+        argv, out = failed_run
+        before = out.read_bytes()
+        proc = run_process(*argv, "--model", "model-b")
+        tag = default_prompt_config().version_tag
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("INFO ")]
+        assert (proc.returncode, errors) == (1, [f"ERROR cap2qa: {self.mismatch(out, ('model-a', tag), ('model-b', tag))}"])
+        assert out.read_bytes() == before
+
+    def test_another_prompt_is_exit_1(self, tmp_path, caplog, failed_run):
+        argv, out = failed_run
+        before = out.read_bytes()
+        prompt = write_yaml(tmp_path / "prompt.yaml", PROMPT)
+        code, lines = run_main(caplog, *argv, "--model", "model-a", "--prompt", prompt)
+        made, run = default_prompt_config().version_tag, load_prompt_config(prompt).version_tag
+        assert (code, lines[-1]) == (1, self.mismatch(out, ("model-a", made), ("model-a", run)))
+        assert out.read_bytes() == before
+
+    # The check reads the lines as they are, before resume cuts a torn one.
+    def test_a_torn_out_of_another_model_is_not_cut(self, caplog, failed_run):
+        argv, out = failed_run
+        out.write_bytes(out.read_bytes()[:-20])
+        before = out.read_bytes()
+        code, lines = run_main(caplog, *argv, "--model", "model-b")
+        assert (code, lines[-1].split(": record made")[0]) == (1, f"{out}:1")
+        assert out.read_bytes() == before
+
+    def test_the_same_recipe_resumes(self, caplog, failed_run):
+        argv, out = failed_run
+        assert run_main(caplog, *argv, "--model", "model-a")[0] == 0
+        assert [r.source_caption_ids for r in read_instructions(out)] == [(1,), (2,), (3,)]

@@ -51,6 +51,16 @@ class TestPaccScore:
         assert pacc_score("A FISH", ["fish"], raw=True) == Fraction(0)
         assert pacc_score("a fish", ["fish"], raw=True) == Fraction(1, 3)
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_an_empty_reference_matches_only_an_empty_prediction(self, raw):
+        # "" occurs in every string, so containment alone would credit it to any prediction.
+        empty = [""] if raw else ["", "...", "?", "!"]
+        assert pacc_score("a red bus", empty, raw=raw) == Fraction(0)
+        assert evaluate({"q": "a red bus"}, {"q": empty}, raw=raw).per_item == {"q": Fraction(0)}
+        assert pacc_score("", empty, raw=raw) == Fraction(min(3, len(empty)), 3)
+        assert pacc_score("a red bus", [*empty, "bus"], raw=raw) == Fraction(1, 3)
+        assert acc_score("a red bus", empty, raw=raw) == Fraction(0)
+
 
 class TestAccScore:
     def test_exact_after_article_drop(self):
@@ -119,12 +129,12 @@ def test_scores_live_on_the_third_grid(prediction, references):
 def literal_matches(prediction, reference, *, strict, raw):
     """The match rule as defined, with four ``normalize`` calls per pair."""
     if raw:
-        return prediction == reference if strict else reference in prediction
+        return prediction == reference if strict else prediction == reference or bool(reference) and reference in prediction
     exact_pred = " ".join(t for t in normalize(prediction).split() if t not in ("a", "an", "the"))
     exact_ref = " ".join(t for t in normalize(reference).split() if t not in ("a", "an", "the"))
     if strict:
         return exact_pred == exact_ref
-    return normalize(reference) in normalize(prediction) or exact_ref == exact_pred
+    return bool(normalize(reference)) and normalize(reference) in normalize(prediction) or exact_ref == exact_pred
 
 
 # Tokens over a small alphabet that spells the articles, so containment and
