@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
@@ -82,17 +81,25 @@ OUTPUT_FLAGS = ("out", "report")
 PATH_FLAGS = ("captions", "out", "config", "answers", "instances", "categories", "synonyms", "pred", "gt", "refs", "dataset", "in_path", "report", *PATH_SETTINGS)
 
 
-def _read_jsonl(path: str) -> list[tuple[str, dict]]:
-    return list(iter_jsonl(path))
+def _read_jsonl(path: str, id_keys: tuple[str, ...], kind: type, value_keys: tuple[str, ...], value_kind: type = str) -> list[tuple]:
+    """Read ``(where, id, value)`` from each row of a JSONL file, and keep only those, not the row.
 
-
-def _id_rows(path: str, id_keys: tuple[str, ...], kind: type, value_keys: tuple[str, ...], value_kind: type = str) -> Iterator[tuple]:
-    """Yield ``(where, id, value)`` for each row of a JSONL file; an id that is text reaches the report, so it must be UTF-8."""
-    for where, row in _read_jsonl(path):
+    An id that is text reaches the report, so it must be UTF-8. Equal texts among the values, and
+    among the items of a list value, are one object, so answers that the file repeats are held once.
+    """
+    texts: dict[str, str] = {}  # only a str: 1, 1.0 and True are equal keys, yet each converts to its own text
+    rows = []
+    for where, row in iter_jsonl(path):
         key = read_field(row, id_keys, where, kind)
         if kind is str and not key.isascii():
             utf8_text(key, where, repr(next(k for k in id_keys if k in row)))
-        yield where, key, read_field(row, value_keys, where, value_kind)
+        value = read_field(row, value_keys, where, value_kind)
+        if type(value) is str:
+            value = texts.setdefault(value, value)
+        elif type(value) is list:
+            value = [texts.setdefault(v, v) if type(v) is str else v for v in value]
+        rows.append((where, key, value))
+    return rows
 
 
 def _path_text(path) -> str:
@@ -265,7 +272,7 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
 
     annotations = {a.image_id: a for a in load_object_annotations(args.instances, lexicon.categories)}
     answers: list[AnswerRecord] = []
-    for where, image_id, text in _id_rows(args.answers, IMAGE_KEYS, int, ("answer", "caption", "text")):
+    for where, image_id, text in _read_jsonl(args.answers, IMAGE_KEYS, int, ("answer", "caption", "text")):
         if image_id not in annotations:
             raise InputError(f"{where}: no object annotation for image_id {image_id} in {args.instances}")
         answers.append(AnswerRecord(image_id=image_id, text=text))
@@ -289,7 +296,7 @@ def _cmd_eval_chair(args: argparse.Namespace, clock: Clock) -> tuple:
 def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str, ...], kind: type) -> dict:
     """Map each id to its references; a single string is one reference, and an id may appear once."""
     refs: dict = {}
-    for where, key, value in _id_rows(path, id_keys, kind, value_keys, object):
+    for where, key, value in _read_jsonl(path, id_keys, kind, value_keys, object):
         if key in refs:
             raise InputError(f"{where}: repeated id {key!r}")
         if type(value) is str:
@@ -306,7 +313,7 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.gt, QUESTION_KEYS, ("references", "answers", "answer"), str)
     predictions: dict[str, str] = {}
     ignored: dict[str, str] = {}
-    for where, qid, prediction in _id_rows(args.pred, QUESTION_KEYS, str, ("prediction", "answer", "text")):
+    for where, qid, prediction in _read_jsonl(args.pred, QUESTION_KEYS, str, ("prediction", "answer", "text")):
         if qid in predictions or qid in ignored:
             raise InputError(f"{where}: repeated id {qid!r}")
         (predictions if qid in references else ignored)[qid] = prediction
@@ -335,7 +342,7 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
 def _cmd_eval_caption(args: argparse.Namespace, clock: Clock) -> tuple:
     references = _load_references(args.refs, IMAGE_KEYS, ("references", "captions", "caption"), int)
     items: dict[int, CaptionItem] = {}
-    for where, image_id, candidate in _id_rows(args.pred, IMAGE_KEYS, int, ("caption", "prediction", "text")):
+    for where, image_id, candidate in _read_jsonl(args.pred, IMAGE_KEYS, int, ("caption", "prediction", "text")):
         if image_id not in references:
             raise InputError(f"{where}: no references for image_id {image_id} in {args.refs}")
         if image_id in items:

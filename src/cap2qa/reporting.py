@@ -50,6 +50,9 @@ def json_text(value) -> str:
     is not a ``str`` raises ``TypeError``.
     """
     newlines = ["\n"]  # newlines[depth]: a newline and the indent of that depth
+    # plans[(keys, depth)]: each sorted key with its opener, and the closer, of one
+    # dict shape; the rows of a report share these strings and add only their values.
+    plans: dict[tuple, tuple] = {}
     # Small pieces joined once at the end: concatenating each level's text
     # would copy a large report once per level and raise peak memory.
     pieces: list[str] = []
@@ -69,12 +72,16 @@ def json_text(value) -> str:
                 newlines.append(newlines[-1] + "  ")
             inner, outer = newlines[depth], newlines[depth - 1]
             if isinstance(value, dict):
-                opener = "{" + inner
-                for key in sorted(value):
-                    emit(opener + encode_basestring(key) + ": ")
+                shape = (tuple(value), depth)
+                if shape not in plans:
+                    keys = sorted(value)
+                    openers = [("," if i else "{") + inner + encode_basestring(key) + ": " for i, key in enumerate(keys)]
+                    plans[shape] = (tuple(zip(keys, openers)), outer + "}")
+                pairs, closer = plans[shape]
+                for key, opener in pairs:
+                    emit(opener)
                     write(value[key], depth)
-                    opener = "," + inner
-                emit(outer + "}")
+                emit(closer)
                 return
             try:  # most lists in a report hold only strings
                 emit("[" + inner + ("," + inner).join(map(encode_basestring, value)) + outer + "]")

@@ -464,6 +464,40 @@ class TestEvalVqa:
             f"6 predictions in {pred} have no question in {gt} and are ignored (first: ['u1', 'u2', 'u3', 'u4', 'u5'])"
         ]
 
+    def test_a_repeated_reference_is_read_as_one_object(self, tmp_path):
+        gt = write_jsonl(
+            tmp_path / "gt.jsonl",
+            [
+                {"question_id": "q1", "references": ["two", "one"]},
+                {"question_id": "q2", "references": "two"},
+                {"question_id": "q3", "references": ["three", "two"]},
+            ],
+        )
+        rows = cli._read_jsonl(gt, cli.QUESTION_KEYS, str, ("references",), object)
+        twos = [rows[0][2][0], rows[1][2], rows[2][2][1]]
+        assert twos == ["two"] * 3
+        assert twos[0] is twos[1] is twos[2]
+
+    # 1, 1.0 and True are equal dict keys: sharing them as text would turn 1.0 into "1" and
+    # change these scores, which convert each reference by its own type.
+    @pytest.mark.parametrize("mode, scores", [("pacc", ["2/3", "1/1", "1/1"]), ("acc", ["2/3", "2/3", "1/3"])])
+    def test_equal_numbers_and_text_in_references_stay_apart(self, tmp_path, capsys, mode, scores):
+        gt_rows = [
+            {"question_id": "q1", "references": [1, 1.0, "1"]},
+            {"question_id": "q2", "references": [1.0, 1, "1.0"]},
+            {"question_id": "q3", "references": ["1", 1.0, 1]},
+        ]
+        gt = write_jsonl(tmp_path / "gt.jsonl", gt_rows)
+        pred = write_jsonl(
+            tmp_path / "p.jsonl",
+            [{"question_id": "q1", "prediction": "1"}, {"question_id": "q2", "prediction": "1.0"}, {"question_id": "q3", "prediction": 1.0}],
+        )
+        rows = cli._read_jsonl(gt, cli.QUESTION_KEYS, str, ("references",), object)
+        assert [[(type(v), v) for v in value] for _, _, value in rows] == [[(type(v), v) for v in row["references"]] for row in gt_rows]
+        assert main(["eval-vqa", "--pred", str(pred), "--gt", str(gt), "--mode", mode]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert [item["score"] for item in details["per_item"]] == scores
+
 
 class TestEvalCaption:
     def test_identity_scores(self, tmp_path, capsys):
@@ -1244,8 +1278,8 @@ def test_every_eval_jsonl_input_is_read_once_through_read_jsonl(tmp_path, caplog
     calls = []
     read_jsonl = cli._read_jsonl
 
-    def spy(path):
-        rows = read_jsonl(path)
+    def spy(path, *args):
+        rows = read_jsonl(path, *args)
         calls.append((path, len(rows)))
         return rows
 

@@ -127,9 +127,19 @@ JSON_PAYLOADS = st.recursive(
     max_leaves=40,
 )
 
+# Report rows: lists of dicts over a three-key alphabet, nested so that one key set
+# recurs at depths 1-4 and arrives in different insertion orders.
+ROW_KEYS = st.sampled_from(["a", "b", "é"])
+ROW_PAYLOADS = st.recursive(
+    st.integers() | st.text(max_size=3),
+    lambda children: st.dictionaries(ROW_KEYS, children, min_size=1)
+    | st.lists(st.dictionaries(ROW_KEYS, children, min_size=1), min_size=1, max_size=4),
+    max_leaves=30,
+)
 
-@settings(max_examples=200, deadline=None)
-@given(JSON_PAYLOADS)
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_PAYLOADS | ROW_PAYLOADS)
 def test_json_text_is_byte_identical_to_indented_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
