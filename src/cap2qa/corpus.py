@@ -27,8 +27,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-import yaml
-
 from .errors import InputError, RuntimeFailure
 
 log = logging.getLogger(__name__)
@@ -187,6 +185,8 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
 
 def load_yaml(path: str | Path):
     """Parse a YAML file; a syntax error becomes a one-line input error."""
+    import yaml  # here, not at the top: a run that reads no YAML file does not pay PyYAML's import
+
     with _open_input(path) as fh:
         try:
             return yaml.safe_load(fh)

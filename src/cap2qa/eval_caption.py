@@ -117,42 +117,46 @@ def cider_per_item(eval_set: CaptionEvalSet, *, cider_d: bool = False) -> list[f
     if len(eval_set.items) == 1:
         log.warning("CIDEr over a single item: document frequency degenerates and the score is 0")
 
-    # Each distinct text is stemmed once, and each distinct stemmed sequence counted once:
-    # texts that differ only in case or punctuation share one Counter. Its keys are n-gram ids,
+    # Each distinct text is stemmed once, and each distinct stemmed sequence keeps its n-gram ids,
+    # in n-gram order: texts that differ only in case or punctuation share one tuple. The ids are
     # numbered in first-seen order within this call, so each distinct n-gram is stored once.
     ids = defaultdict(count().__next__)
     stemmed: dict[str, tuple[str, ...]] = {}
-    counted: dict[tuple[str, ...], Counter] = {}
+    id_tuples: dict[tuple[str, ...], tuple[int, ...]] = {}
     for item in eval_set.items:
         for text in (item.candidate, *item.references):
             if text not in stemmed:
                 tokens = stemmed[text] = tuple(map(_stem_cached, tokenize(text)))
-                if tokens not in counted:
-                    counted[tokens] = Counter(map(ids.__getitem__, _ngrams(tokens)))
+                if tokens not in id_tuples:
+                    id_tuples[tokens] = tuple(map(ids.__getitem__, _ngrams(tokens)))
     # Each id's order, n - 1; the n-gram tuples are not needed past here.
     order = [len(ngram) - 1 for ngram in ids]
     del ids
 
     # A document is one item's reference set; an n-gram in none of them takes df 1, so its idf is log N.
-    ref_sets = (set().union(*(counted[stemmed[r]] for r in item.references)) for item in eval_set.items)
+    ref_sets = (set().union(*(id_tuples[stemmed[r]] for r in item.references)) for item in eval_set.items)
     doc_freq = Counter(chain.from_iterable(ref_sets))
     log_corpus_size = math.log(len(eval_set.items))
     idf = [log_corpus_size - math.log(doc_freq.get(i, 1)) for i in range(len(order))]
-    # Each distinct stemmed sequence's counts, length and per-order TF-IDF norms.
-    sequences = {}
-    for tokens, counts in counted.items():
+    del doc_freq
+
+    # A text's counts, length and per-order TF-IDF norms are made while its item is scored:
+    # counts held for every text at once would be most of the call's memory.
+    def weighed(text):
+        tokens = stemmed[text]
+        counts = Counter(id_tuples[tokens])
         norm = [0.0] * NGRAM_ORDERS
         for i, term_freq in counts.items():
             norm[order[i]] += (term_freq * idf[i]) ** 2
-        sequences[tokens] = (counts, len(tokens), [math.sqrt(x) for x in norm])
+        return counts, len(tokens), [math.sqrt(x) for x in norm]
 
     scores: list[float] = []
     for item in eval_set.items:
-        cand, cand_len, cand_norm = sequences[stemmed[item.candidate]]
+        cand, cand_len, cand_norm = weighed(item.candidate)
         cand_vec = [(i, term_freq * idf[i]) for i, term_freq in cand.items()]
         per_n_total = [0.0] * NGRAM_ORDERS
         for ref_text in item.references:
-            ref, ref_len, ref_norm = sequences[stemmed[ref_text]]
+            ref, ref_len, ref_norm = weighed(ref_text)
             ref_get = ref.get
             # An n-gram the reference lacks adds 0.0 to the dot product, so it is skipped.
             # CIDEr-D clips the candidate's weight at the reference's.

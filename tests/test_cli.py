@@ -4,6 +4,7 @@ import logging
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -743,6 +744,24 @@ def run_process(*argv, memory_cap_mb=None, preexec_fn=None):
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
+@pytest.fixture
+def device_nodes_stay():
+    """The machine's device nodes that these tests write to are still character devices, before and after.
+
+    An opener that renamed a file over its target would replace the node for
+    every process on the machine; this names the node in the failing test.
+    """
+    nodes = [node for node in ("/dev/full", "/dev/zero", "/dev/null") if os.path.exists(node)]
+
+    def replaced():
+        return [node for node in nodes if not stat.S_ISCHR(os.stat(node).st_mode)]
+
+    assert replaced() == []
+    yield
+    assert replaced() == []
+
+
+@pytest.mark.usefixtures("device_nodes_stay")
 class TestDeviceOutputs:
     """A device as an output is written, never read back, and a failed write is one ERROR line naming it."""
 
@@ -830,6 +849,15 @@ def mock_generate(tmp_path):
     captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
     script = write_jsonl(tmp_path / "script.jsonl", [{"response_text": "Question: Q?\nAnswer: A."}])
     return ["generate", "--captions", captions, "--out", tmp_path / "o.jsonl", "--backend", "mock", "--script", script]
+
+
+# PyYAML costs about 1 MB and 10-16 ms to import; a run that reads no YAML file never pays either.
+def test_importing_the_cli_leaves_pyyaml_unimported():
+    src = str(Path(cap2qa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, cap2qa.cli; print('yaml' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestInputErrors:
@@ -1584,6 +1612,7 @@ class TestNoRunOverwritesItsInput:
 
     # Writing to a file that is not regular destroys nothing.
     @pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+    @pytest.mark.usefixtures("device_nodes_stay")
     def test_dev_null_may_be_read_and_written(self, caplog):
         assert run_main(caplog, "stats", "--dataset", "/dev/null", "--report", "/dev/null")[0] == 0
 

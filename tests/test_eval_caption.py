@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -532,3 +533,46 @@ class TestNgramIds:
         here = [" ".join(map(float.hex, cider_per_item(corpus(*items), cider_d=d))) for d in (False, True)]
         assert here == fresh.stdout.splitlines()
         assert_equals_seed_and_oracles(items)
+
+
+# --- memory: what one call holds --------------------------------------------
+
+SCENE_WORDS = {
+    "adj": "small large red white black young old wooden busy empty".split(),
+    "noun": "cat dog man woman bus train bird horse boy girl".split(),
+    "verb": "sits stands runs walks sleeps rides waits plays looks eats".split(),
+    "prep": "on in near beside behind under by at".split(),
+    "place": "street table field road beach kitchen park bench room grass".split(),
+}
+
+
+def scene_corpus(seed):
+    """1000 COCO-like items of 5 references: each text varies up to two words of its image's scene,
+    so nearly every text is distinct and n-grams are shared."""
+    rng = random.Random(seed)
+    items = []
+    for image_id in range(1000):
+        scene = {slot: rng.choice(words) for slot, words in SCENE_WORDS.items()}
+        texts = []
+        for _ in range(6):
+            slots = {**scene, **{slot: rng.choice(SCENE_WORDS[slot]) for slot in rng.sample(list(SCENE_WORDS), rng.randint(0, 2))}}
+            text = "a {adj} {noun} {verb} {prep} the {place}".format(**slots)
+            texts.append(text.capitalize() + "." if rng.random() < 0.5 else text)
+        items.append(CaptionItem(image_id, texts[0], tuple(texts[1:])))
+    return CaptionEvalSet(items)
+
+
+# A Counter per distinct text, held until the last item is scored, is about
+# 1.6 KB a text; the n-gram ids of a text and its share of the id tables are
+# about 0.5 KB. The table of distinct n-grams is bounded by the vocabulary here.
+def test_cider_holds_under_800_bytes_per_distinct_text():
+    eval_set = scene_corpus(0)
+    distinct = len({text for item in eval_set.items for text in (item.candidate, *item.references)})
+    assert distinct > 5000
+    tracemalloc.start()
+    try:
+        cider_per_item(eval_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / distinct <= 800, f"{peak} bytes traced for {distinct} distinct texts"
