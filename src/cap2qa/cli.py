@@ -108,7 +108,7 @@ def _path_text(path) -> str:
 
 
 def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths: list, metrics: dict, details: dict) -> None:
-    """Hash the inputs and write the run report to ``--report``, through a temporary file renamed over it, or to stdout."""
+    """Hash the inputs and write the run report, in pieces, to ``--report``, through a temporary file renamed over it, or to stdout."""
     report = {
         "command": args.command,
         "inputs": {_path_text(path): sha256_file(path) for path in input_paths if path is not None},
@@ -119,13 +119,12 @@ def _emit(args: argparse.Namespace, started: datetime, clock: Clock, input_paths
     }
     if details:
         report["details"] = details
-    rendered = report_render(report, "json")
     if args.report is not None:
         with _replace_output(args.report) as fh:
-            fh.write(rendered)
+            report_render(report, "json", fh)
         log.info("report written to %s", args.report)
     else:
-        sys.stdout.write(rendered)
+        report_render(report, "json", sys.stdout)
 
 
 def _check_path_flags(args: argparse.Namespace) -> None:
@@ -388,7 +387,7 @@ def _cmd_stats(args: argparse.Namespace, clock: Clock) -> tuple:
 
 def _cmd_report(args: argparse.Namespace, clock: Clock) -> None:
     report = load_report(args.in_path)
-    sys.stdout.write(report_render(report, args.format))
+    report_render(report, args.format, sys.stdout)
 
 
 # --- parser -------------------------------------------------------------

@@ -21,11 +21,13 @@ import json
 import logging
 import os
 import threading
+from collections.abc import Set
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import filterfalse
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, AbstractSet, Iterable, Iterator
 
 from .errors import InputError, RuntimeFailure
 
@@ -44,17 +46,64 @@ class CaptionRecord:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectAnnotation:
     """Positive and negative object categories of one image.
 
     Negatives are the complement of the positives within the closed
-    vocabulary; instance files never list them explicitly.
+    vocabulary; instance files never list them explicitly. Any set works
+    here; :func:`load_object_annotations` gives a :class:`Complement`.
     """
 
     image_id: int
     positive_categories: frozenset[str]
-    negative_categories: frozenset[str]
+    negative_categories: AbstractSet[str]
+
+
+class Complement(Set):
+    """The read-only set ``vocabulary - present``, without a set of its own.
+
+    One image lacks most of a vocabulary, so a frozenset of its negatives
+    would hold about 77 of COCO's 80 names; this view holds the shared
+    vocabulary and the image's few present names. ``present`` must be a
+    subset of ``vocabulary``. It is equal and hash-equal to the frozenset,
+    and ``&`` with a set runs as C set operations, returning a frozenset
+    or, from the left, the other operand's type, as the frozenset would.
+    """
+
+    __slots__ = ("vocabulary", "present")
+
+    def __init__(self, vocabulary: frozenset, present: frozenset):
+        self.vocabulary = vocabulary
+        self.present = present
+
+    def __contains__(self, item) -> bool:
+        return item in self.vocabulary and item not in self.present
+
+    def __iter__(self) -> Iterator:
+        return filterfalse(self.present.__contains__, self.vocabulary)
+
+    def __len__(self) -> int:
+        return len(self.vocabulary) - len(self.present)
+
+    def __and__(self, other):
+        if isinstance(other, (set, frozenset)):
+            return (self.vocabulary & other) - self.present
+        return super().__and__(other)
+
+    def __rand__(self, other):
+        if isinstance(other, (set, frozenset)):
+            return (other & self.vocabulary) - self.present
+        return super().__rand__(other)
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -315,11 +364,12 @@ def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str
 
     Positives are the categories with at least one instance annotation,
     restricted to the given vocabulary; negatives are the rest of the
-    vocabulary. Images listed in the file but without annotations get empty
+    vocabulary, a :class:`Complement` over one frozenset that every image
+    shares. Images listed in the file but without annotations get empty
     positives. Images come in the order of the ``images`` array, then in the
     order annotations first name the rest.
     """
-    vocab_set = set(vocabulary)
+    vocab_set = frozenset(vocabulary)
     data = load_json(instances_path)
     categories = data.get("categories")
     annotations = data.get("annotations")
@@ -350,14 +400,11 @@ def load_object_annotations(instances_path: str | Path, vocabulary: Iterable[str
         if name in vocab_set:
             found.add(name)
 
-    return [
-        ObjectAnnotation(
-            image_id=image_id,
-            positive_categories=frozenset(found),
-            negative_categories=frozenset(vocab_set - found),
-        )
-        for image_id, found in positives.items()
-    ]
+    result = []
+    for image_id, found in positives.items():
+        present = frozenset(found)
+        result.append(ObjectAnnotation(image_id, present, Complement(vocab_set, present)))
+    return result
 
 
 # What JSONEncoder(ensure_ascii=False) calls for a str (the C string encoder) and for an int.

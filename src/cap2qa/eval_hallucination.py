@@ -134,7 +134,7 @@ def default_lexicon() -> Lexicon:
     return build_lexicon(str(data / "coco_categories.txt"), str(data / "coco_synonyms.txt"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerRecord:
     image_id: int
     text: str

@@ -11,6 +11,7 @@ for human eyes.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from datetime import datetime
 from json.encoder import encode_basestring
@@ -41,68 +42,79 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def json_text(value) -> str:
+def json_text(value, write=None) -> str | None:
     """The bytes of ``json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)``, made faster.
 
+    With ``write``, each piece of the text goes to ``write`` in order, so no
+    whole string is built, and None is returned; without it, the text is.
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder. This
     writer adds the indentation itself and leaves strings and ints to the C
     encoders; floats, bools and None go to ``json.dumps``. A dict key that
     is not a ``str`` raises ``TypeError``.
     """
-    newlines = ["\n"]  # newlines[depth]: a newline and the indent of that depth
-    # plans[(keys, depth)]: each sorted key with its opener, and the closer, of one
-    # dict shape; the rows of a report share these strings and add only their values.
-    plans: dict[tuple, tuple] = {}
-    # Small pieces joined once at the end: concatenating each level's text
-    # would copy a large report once per level and raise peak memory.
-    pieces: list[str] = []
-    emit = pieces.append
-
-    def write(value, depth: int) -> None:
-        if isinstance(value, str):
-            emit(encode_basestring(value))
-        elif type(value) is int:
-            emit(int.__repr__(value))
-        elif isinstance(value, (dict, list, tuple)):
-            if not value:
-                emit("{}" if isinstance(value, dict) else "[]")
-                return
-            depth += 1
-            if depth == len(newlines):
-                newlines.append(newlines[-1] + "  ")
-            inner, outer = newlines[depth], newlines[depth - 1]
-            if isinstance(value, dict):
-                shape = (tuple(value), depth)
-                if shape not in plans:
-                    keys = sorted(value)
-                    openers = [("," if i else "{") + inner + encode_basestring(key) + ": " for i, key in enumerate(keys)]
-                    plans[shape] = (tuple(zip(keys, openers)), outer + "}")
-                pairs, closer = plans[shape]
-                for key, opener in pairs:
-                    emit(opener)
-                    write(value[key], depth)
-                emit(closer)
-                return
-            try:  # most lists in a report hold only strings
-                emit("[" + inner + ("," + inner).join(map(encode_basestring, value)) + outer + "]")
-            except TypeError:
-                opener = "[" + inner
-                for item in value:
-                    emit(opener)
-                    write(item, depth)
-                    opener = "," + inner
-                emit(outer + "]")
-        else:
-            emit(json.dumps(value))
-
-    write(value, 0)
-    return "".join(pieces)
+    if write is None:
+        pieces: list[str] = []
+        _write_json(value, 0, pieces.append, ["\n"], {})
+        return "".join(pieces)
+    _write_json(value, 0, write, ["\n"], {})
+    return None
 
 
-def report_render(report: dict, fmt: str = "json") -> str:
+def _write_json(value, depth: int, emit, newlines: list[str], plans: dict) -> None:
+    """Pass the pieces of ``value``'s indented JSON to ``emit``.
+
+    ``newlines[depth]`` is a newline and the indent of that depth. ``plans[(keys, depth)]``
+    holds each sorted key with its opener, and the closer, of one dict shape; the rows of
+    a report share these strings and add only their values. A module function, not a
+    closure over itself, so no reference cycle keeps the pieces alive after a call.
+    """
+    if isinstance(value, str):
+        emit(encode_basestring(value))
+    elif type(value) is int:
+        emit(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            emit("{}" if isinstance(value, dict) else "[]")
+            return
+        depth += 1
+        if depth == len(newlines):
+            newlines.append(newlines[-1] + "  ")
+        inner, outer = newlines[depth], newlines[depth - 1]
+        if isinstance(value, dict):
+            shape = (tuple(value), depth)
+            if shape not in plans:
+                keys = sorted(value)
+                openers = [("," if i else "{") + inner + encode_basestring(key) + ": " for i, key in enumerate(keys)]
+                plans[shape] = (tuple(zip(keys, openers)), outer + "}")
+            pairs, closer = plans[shape]
+            for key, opener in pairs:
+                emit(opener)
+                _write_json(value[key], depth, emit, newlines, plans)
+            emit(closer)
+            return
+        try:  # most lists in a report hold only strings
+            emit("[" + inner + ("," + inner).join(map(encode_basestring, value)) + outer + "]")
+        except TypeError:
+            opener = "[" + inner
+            for item in value:
+                emit(opener)
+                _write_json(item, depth, emit, newlines, plans)
+                opener = "," + inner
+            emit(outer + "]")
+    else:
+        emit(json.dumps(value))
+
+
+def report_render(report: dict, fmt: str = "json", out=None) -> str | None:
+    """Write a report to the text handle ``out`` in pieces, never as one string; without ``out``, return its text."""
+    if out is None:
+        text = io.StringIO()
+        report_render(report, fmt, text)
+        return text.getvalue()
     if fmt == "json":
-        return json_text(report) + "\n"
-    if fmt == "markdown":
+        json_text(report, out.write)
+        out.write("\n")
+    elif fmt == "markdown":
         lines = [
             f"# {report['command']}",
             "",
@@ -120,8 +132,10 @@ def report_render(report: dict, fmt: str = "json") -> str:
             shown = f"{value:.6f}" if isinstance(value, float) else str(value)
             lines.append(f"| {_DISPLAY_NAMES.get(key, key)} | {shown} |")
         lines.append("")
-        return "\n".join(lines)
-    raise ValueError(f"unknown report format: {fmt!r}")
+        out.write("\n".join(lines))
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    return None
 
 
 def load_report(path: str) -> dict:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import logging
@@ -8,6 +9,8 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import yaml
 import cap2qa
 from cap2qa import cli, generator
 from cap2qa.cli import main
+from cap2qa.clocks import FixedClock
 from cap2qa.corpus import CaptionRecord, load_coco_captions, read_instructions
 from cap2qa.llm_client import BackendSpec, MockScript, prompt_hash
 from cap2qa.promptkit import default_prompt_config, load_prompt_config, render
@@ -663,7 +667,7 @@ class TestReportCommand:
         path = tmp_path / "report.json"
         assert run_main(caplog, *write_field_inputs(tmp_path, "eval-vqa"), "--report", path)[0] == 0
         before = path.read_bytes()
-        monkeypatch.setattr(cli, "report_render", lambda report, fmt: "\ud83d")
+        monkeypatch.setattr(cli, "report_render", lambda report, fmt, out=None: out.write("\ud83d"))
         assert run_main(caplog, *write_field_inputs(tmp_path, "eval-vqa"), "--report", path)[0] == 1
         assert path.read_bytes() == before
 
@@ -841,6 +845,51 @@ class TestReportReplaced:
             os.close(reader)
         assert fifo.is_fifo()
         assert json.loads(report)["command"] == "eval-vqa"
+
+
+class TestReportInPieces:
+    """A report is written to its handle in pieces: neither its whole text nor its encoded bytes is held."""
+
+    @pytest.mark.parametrize("command", ["eval-chair", "eval-vqa", "eval-caption"])
+    def test_stdout_gets_the_bytes_of_the_report_file(self, tmp_path, caplog, capsysbinary, monkeypatch, command):
+        monkeypatch.setattr(cli, "_clock", lambda args: FixedClock(datetime(2024, 1, 1, tzinfo=timezone.utc)))
+        argv = write_field_inputs(tmp_path, command)
+        assert run_main(caplog, *argv)[0] == 0
+        printed = capsysbinary.readouterr().out
+        assert run_main(caplog, *argv, "--report", tmp_path / "r.json")[0] == 0
+        assert printed == (tmp_path / "r.json").read_bytes()
+
+    # stdout is not a file that can be replaced whole, so the pieces before the
+    # one that cannot be encoded may reach it; the run is still exit 1, in one line.
+    def test_a_report_stdout_cannot_encode_is_exit_1_in_one_error_line(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        argv = write_field_inputs(tmp_path, "eval-vqa")
+        write_jsonl(tmp_path / "vqa-pred.jsonl", [{"question_id": "q\u00e9", "prediction": "cat"}])
+        write_jsonl(tmp_path / "gt.jsonl", [{"question_id": "q\u00e9", "answers": ["cat"]}])
+        proc = run_process(*argv)
+        errors = TestDeviceOutputs.error_lines(proc)
+        assert (proc.returncode, len(errors)) == (1, 1)
+        assert errors[0].startswith("ERROR cap2qa: 'ascii' codec can't encode character '\\xe9'")
+
+    # A report over 1 MB is written while the traced heap grows by under half
+    # its size; rendered whole and then written, it took about 3.5 times it.
+    def test_a_large_report_is_written_without_holding_it(self, tmp_path):
+        names = ["baseball glove", "tennis racket", "traffic light", "fire hydrant", "parking meter", "dining table"]
+        rows = [{"image_id": i, "mentioned": names, "hallucinated": names[:3], "true_positives": names[3:]} for i in range(2400)]
+        args = argparse.Namespace(command="eval-chair", report=str(tmp_path / "r.json"))
+        clock = FixedClock(datetime(2024, 1, 1, tzinfo=timezone.utc))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cli._emit(args, clock.now(), clock, [], {"n_answers": len(rows)}, {"per_answer": rows})
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "r.json").stat().st_size
+        assert size >= 1 << 20
+        assert peak < size / 2, f"{peak} bytes traced writing a {size}-byte report"
+        assert json.loads((tmp_path / "r.json").read_bytes())["details"]["per_answer"] == rows
 
 
 @pytest.fixture

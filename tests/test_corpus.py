@@ -1,5 +1,7 @@
 import json
+import random
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from cap2qa.corpus import (
     CaptionRecord,
+    Complement,
     InstructionRecord,
     Provenance,
     dataset_stats,
@@ -24,6 +27,7 @@ from cap2qa.corpus import (
     write_instructions,
 )
 from cap2qa.errors import InputError, RuntimeFailure
+from cap2qa.eval_hallucination import default_lexicon
 
 from conftest import write_caption_file, write_instance_file, write_jsonl
 
@@ -150,6 +154,46 @@ class TestLoadObjectAnnotations:
         result = load_object_annotations(path, ["cat"])
         assert result[0].positive_categories == frozenset()
         assert result[0].negative_categories == {"cat"}
+
+
+NAMES = st.text(alphabet="abcd ", min_size=1, max_size=3)
+
+
+# An image's negatives are a view of the vocabulary less its positives, and must
+# act as that frozenset wherever chair_eval or a caller may use one.
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.frozensets(NAMES, max_size=12), st.frozensets(NAMES, max_size=6))
+def test_complement_acts_as_the_frozenset_it_stands_for(data, vocabulary, other):
+    present = data.draw(st.frozensets(st.sampled_from(sorted(vocabulary)))) if vocabulary else frozenset()
+    view, expected = Complement(vocabulary, present), vocabulary - present
+    assert view == expected and expected == view and view == set(expected)
+    assert view != expected | {"x"}
+    assert hash(view) == hash(expected)
+    assert len(view) == len(expected)
+    assert sorted(view) == sorted(expected)
+    assert all((name in view) == (name in expected) for name in vocabulary | other)
+    for kind in (frozenset, set):
+        for got, want in ((kind(other) & view, kind(other) & expected), (view & kind(other), expected & kind(other))):
+            assert got == want and type(got) is type(want)
+
+
+# A frozenset of an image's negatives holds about 77 of the default lexicon's
+# 80 names, 4.3 KB; the view holds the shared vocabulary and the positives.
+def test_object_annotations_hold_under_1_kb_per_image(tmp_path):
+    rng = random.Random(0)
+    vocabulary = default_lexicon().categories
+    names = dict(enumerate(vocabulary, start=1))
+    images = range(1, 2001)
+    annotations = [(image_id, category_id) for image_id in images for category_id in rng.sample(sorted(names), rng.randint(0, 6))]
+    path = write_instance_file(tmp_path / "i.json", names, annotations, images=list(images))
+    tracemalloc.start()
+    try:
+        result = load_object_annotations(path, vocabulary)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == len(images)
+    assert held / len(result) <= 1024, f"{held} bytes traced for {len(result)} images"
 
 
 class TestInstructionRoundTrip:

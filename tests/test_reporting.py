@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -142,6 +143,18 @@ ROW_PAYLOADS = st.recursive(
 @given(JSON_PAYLOADS | ROW_PAYLOADS)
 def test_json_text_is_byte_identical_to_indented_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+# A writer that refers to itself would keep its pieces alive until the cyclic collector runs.
+def test_json_text_leaves_no_reference_cycle():
+    payload = {"per_answer": [{"image_id": 1, "mentioned": ["cat"], "score": 0.5}], "n": 1}
+    gc.collect()
+    gc.disable()
+    try:
+        json_text(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{2: "c", 3: "d"}]}], ids=["top", "nested"])
