@@ -43,7 +43,7 @@ from .corpus import (
 from .errors import RUNTIME_ERRORS, VALIDATION_ERRORS, InputError, RuntimeFailure
 from .eval_caption import CaptionEvalSet, CaptionItem, bleu, cider
 from .eval_hallucination import AnswerRecord, build_lexicon, chair_eval, default_lexicon
-from .eval_vqa import evaluate
+from .eval_vqa import evaluate, fraction_text
 from .filters import load_rules
 from .generator import GeneratorConfig, generate_corpus
 from .llm_client import BackendSpec, MockScript, base_url_problem
@@ -86,18 +86,29 @@ def _read_jsonl(path: str, id_keys: tuple[str, ...], kind: type, value_keys: tup
 
     An id that is text reaches the report, so it must be UTF-8. Equal texts among the values, and
     among the items of a list value, are one object, so answers that the file repeats are held once.
+    A list of texts only comes back as a tuple; a list that holds anything else stays a list.
     """
     texts: dict[str, str] = {}  # only a str: 1, 1.0 and True are equal keys, yet each converts to its own text
     rows = []
+    id_key, value_key = id_keys[0], value_keys[0]
     for where, row in iter_jsonl(path):
-        key = read_field(row, id_keys, where, kind)
+        # A row that holds the first keys with values of the wanted types is read directly; any
+        # other, a null value under kind=object included, goes through read_field.
+        key = row.get(id_key)
+        if type(key) is not kind:
+            key = read_field(row, id_keys, where, kind)
         if kind is str and not key.isascii():
             utf8_text(key, where, repr(next(k for k in id_keys if k in row)))
-        value = read_field(row, value_keys, where, value_kind)
+        value = row.get(value_key)
+        if value is None or (type(value) is not value_kind and value_kind is not object):
+            value = read_field(row, value_keys, where, value_kind)
         if type(value) is str:
             value = texts.setdefault(value, value)
         elif type(value) is list:
-            value = [texts.setdefault(v, v) if type(v) is str else v for v in value]
+            if set(map(type, value)) <= {str}:
+                value = tuple(map(texts.setdefault, value, value))
+            else:
+                value = [texts.setdefault(v, v) if type(v) is str else v for v in value]
         rows.append((where, key, value))
     return rows
 
@@ -298,12 +309,14 @@ def _load_references(path: str, id_keys: tuple[str, ...], value_keys: tuple[str,
         if key in refs:
             raise InputError(f"{where}: repeated id {key!r}")
         if type(value) is str:
-            value = [value]
-        elif type(value) is not list:
+            value = (value,)
+        elif type(value) is list:
+            value = tuple(v if type(v) is str else as_kind(v, str, where, f"references[{j}]") for j, v in enumerate(value))
+        elif type(value) is not tuple:
             raise InputError(f"{where}: references must be a string or a list")
-        elif not value:
+        if not value:
             raise InputError(f"{where}: references must be non-empty")
-        refs[key] = tuple(v if type(v) is str else as_kind(v, str, where, f"references[{j}]") for j, v in enumerate(value))
+        refs[key] = value
     return refs
 
 
@@ -326,10 +339,8 @@ def _cmd_eval_vqa(args: argparse.Namespace, clock: Clock) -> tuple:
     key = "acc" if strict else "pacc"
     metrics = {key: float(result.mean_score), "n_items": len(result.per_item), "n_ignored": len(ignored)}
     details = {
-        "mean_exact": f"{result.mean_score.numerator}/{result.mean_score.denominator}",
-        "per_item": [
-            {"question_id": qid, "score": f"{score.numerator}/{score.denominator}"} for qid, score in result.per_item.items()
-        ],
+        "mean_exact": fraction_text(result.mean_score),
+        "per_item": [{"question_id": qid, "score": fraction_text(score)} for qid, score in result.per_item.items()],
     }
     return [args.pred, args.gt], metrics, details
 

@@ -29,6 +29,9 @@ _ARTICLES = frozenset({"a", "an", "the"})
 _WS = re.compile(r"\s+")
 # Every item score is one of these: Fraction(k, MATCH_CAP) for capped counts k.
 _GRID = tuple(Fraction(k, MATCH_CAP) for k in range(MATCH_CAP + 1))
+# The "n/d" text of each grid score, keyed by identity: the grid objects live as long as the module,
+# so their ids are never reused, and hashing a Fraction costs more than formatting it.
+_GRID_TEXT = {id(score): f"{score.numerator}/{score.denominator}" for score in _GRID}
 
 
 def normalize(text: str) -> str:
@@ -74,6 +77,11 @@ def pacc_score(prediction: str, references: list[str] | tuple[str, ...], *, raw:
 
 def acc_score(prediction: str, references: list[str] | tuple[str, ...], *, raw: bool = False) -> Fraction:
     return _GRID[_match_count(prediction, references, True, _raw_forms if raw else _forms)]
+
+
+def fraction_text(score: Fraction) -> str:
+    """``score`` as ``"numerator/denominator"``; the text of a score from :func:`evaluate` is built once, at import."""
+    return _GRID_TEXT.get(id(score)) or f"{score.numerator}/{score.denominator}"
 
 
 @dataclass(frozen=True)

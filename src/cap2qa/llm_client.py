@@ -162,7 +162,7 @@ class ResponseCache:
         try:
             with open(self.root / f"{key}.json", encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
         text = entry.get("text") if type(entry) is dict else None
         return text if type(text) is str and text else None

@@ -22,6 +22,7 @@ from cap2qa import cli, generator
 from cap2qa.cli import main
 from cap2qa.clocks import FixedClock
 from cap2qa.corpus import CaptionRecord, load_coco_captions, read_instructions
+from cap2qa.errors import InputError
 from cap2qa.llm_client import BackendSpec, MockScript, prompt_hash
 from cap2qa.promptkit import default_prompt_config, load_prompt_config, render
 
@@ -504,6 +505,46 @@ class TestEvalVqa:
         details = json.loads(capsys.readouterr().out)["details"]
         assert [item["score"] for item in details["per_item"]] == scores
 
+    # A row that holds the first id key and the first value key with the wanted types is read
+    # directly; these rows take read_field and the per-item loop, and read as they did before.
+    @pytest.mark.parametrize(
+        "row, read, refs",
+        [
+            ({"qid": "q1", "answers": ["a", "b"]}, ("q1", ("a", "b")), {"q1": ("a", "b")}),
+            ({"question_id": 5, "references": ["a"]}, ("5", ("a",)), {"5": ("a",)}),
+            ({"question_id": "q1", "references": None, "answers": ["a"]}, ("q1", None), "references must be a string or a list"),
+            ({"question_id": "q1", "references": []}, ("q1", ()), "references must be non-empty"),
+            ({"question_id": "q1", "references": "a"}, ("q1", "a"), {"q1": ("a",)}),
+            ({"question_id": "q", "references": ["a", 1, 1.5]}, ("q", ["a", 1, 1.5]), {"q": ("a", "1", "1.5")}),
+            ({"question_id": "q", "references": ["a", None]}, ("q", ["a", None]), "references[1] must be a string, got null"),
+            ({"question_id": "café\ud83d", "references": ["a"]}, None, "'question_id' holds a lone surrogate '\\ud83d' at index 4"),
+        ],
+        ids=["second-spelling", "int-id", "null-value", "empty-list", "single-string", "mixed-list", "null-item", "lone-surrogate-id"],
+    )
+    def test_rows_off_the_direct_read_keep_their_values_and_messages(self, tmp_path, row, read, refs):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(row) + "\n", encoding="utf-8")  # ASCII, so a lone surrogate is a \ud83d escape
+        value_keys = ("references", "answers", "answer")
+        if read is None:
+            with pytest.raises(InputError, match=f"^{re.escape(f'{gt}:1: {refs}')}$"):
+                cli._read_jsonl(gt, cli.QUESTION_KEYS, str, value_keys, object)
+        else:
+            assert cli._read_jsonl(gt, cli.QUESTION_KEYS, str, value_keys, object) == [(f"{gt}:1", *read)]
+        if type(refs) is dict:
+            assert cli._load_references(gt, cli.QUESTION_KEYS, value_keys, str) == refs
+        else:
+            with pytest.raises(InputError, match=f"^{re.escape(f'{gt}:1: {refs}')}$"):
+                cli._load_references(gt, cli.QUESTION_KEYS, value_keys, str)
+
+    # The items share the grid's few score objects, and each one's text is made once.
+    def test_every_grid_score_is_written_as_its_fraction(self, tmp_path, capsys):
+        gt = write_jsonl(tmp_path / "gt.jsonl", [{"question_id": f"q{k}", "references": ["cat"] * k + ["dog"] * (4 - k)} for k in range(5)])
+        pred = write_jsonl(tmp_path / "p.jsonl", [{"question_id": f"q{k}", "prediction": "cat"} for k in (4, 0, 1, 2, 3)])
+        assert main(["eval-vqa", "--pred", str(pred), "--gt", str(gt)]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert [item["score"] for item in details["per_item"]] == ["1/1", "0/1", "1/3", "2/3", "1/1"]
+        assert details["mean_exact"] == "3/5"
+
 
 class TestEvalCaption:
     def test_identity_scores(self, tmp_path, capsys):
@@ -898,6 +939,15 @@ def mock_generate(tmp_path):
     captions = write_caption_file(tmp_path / "c.json", [(1, 10, "A cat sits.")])
     script = write_jsonl(tmp_path / "script.jsonl", [{"response_text": "Question: Q?\nAnswer: A."}])
     return ["generate", "--captions", captions, "--out", tmp_path / "o.jsonl", "--backend", "mock", "--script", script]
+
+
+# A line nested past the parser's recursion limit is one error line, not a RecursionError traceback.
+def test_a_deeply_nested_prediction_line_is_exit_1_in_one_line(tmp_path):
+    argv = write_field_inputs(tmp_path, "eval-vqa")
+    pred = tmp_path / "vqa-pred.jsonl"
+    pred.write_text("[" * 100000 + "\n", encoding="utf-8")
+    proc = run_process(*argv)
+    assert (proc.returncode, proc.stderr.splitlines()) == (1, [f"ERROR cap2qa: {pred}:1: nested too deeply"])
 
 
 # PyYAML costs about 1 MB and 10-16 ms to import; a run that reads no YAML file never pays either.

@@ -13,7 +13,9 @@ from cap2qa.corpus import (
     Complement,
     InstructionRecord,
     Provenance,
+    _open_input,
     dataset_stats,
+    drop_torn_tail,
     iter_instructions,
     iter_jsonl,
     load_coco_captions,
@@ -259,6 +261,16 @@ class TestInstructionRoundTrip:
         with pytest.raises(InputError, match=r"out\.jsonl:1: question and answer must be non-empty$"):
             read_instructions(out)
 
+    # The resume scan reads a line nested too deeply as no record; the resume read then names it.
+    def test_resume_scan_leaves_a_deeply_nested_line_to_the_read(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text(record_to_line(make_record()) + "\n" + "[" * 100000 + "\n", encoding="utf-8")
+        before = out.read_bytes()
+        drop_torn_tail(out, ("gpt-3.5-turbo", "default-abc123def456"))
+        assert out.read_bytes() == before
+        with pytest.raises(InputError, match=f"^{re.escape(str(out))}:2: nested too deeply$"):
+            read_instructions(out)
+
     def test_naive_timestamp_coerced_to_utc(self, tmp_path):
         obj = json.loads(record_to_line(make_record()))
         obj["provenance"]["created_at"] = "2024-01-02T03:04:05"
@@ -429,6 +441,25 @@ class TestReaders:
             load_yaml(path)
         assert str(info.value) == f"{path}: malformed YAML at line 2: found unexpected end of stream"
 
+    # Past the parser's recursion limit a value is one input error that names the file, not a
+    # RecursionError traceback. A JSONL line that starts as an object is read by the scanner first.
+    @pytest.mark.parametrize(
+        "name, text, read, where",
+        [
+            ("rows.jsonl", '{"a": 1}\n' + "[" * 100000 + "\n", lambda p: list(iter_jsonl(p)), ":2"),
+            ("rows.jsonl", '{"a": ' + "[" * 100000 + "]" * 100000 + "}\n", lambda p: list(iter_jsonl(p)), ":1"),
+            ("instances.json", "[" * 100000, load_json, ""),
+            ("config.yaml", "[" * 800 + "]" * 800 + "\n", load_yaml, ""),
+        ],
+        ids=["jsonl-array", "jsonl-object", "json", "yaml"],
+    )
+    def test_deeply_nested_input_is_one_input_error(self, tmp_path, name, text, read, where):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            read(path)
+        assert str(info.value) == f"{path}{where}: nested too deeply"
+
     def test_load_json_requires_a_top_level_object(self, tmp_path):
         path = tmp_path / "captions.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -436,3 +467,65 @@ class TestReaders:
             load_json(path)
         with pytest.raises(InputError, match=r"captions\.json: expected a JSON object at the top level$"):
             load_coco_captions(path)
+
+
+def oracle_iter_jsonl(path):
+    """iter_jsonl as it read every line before its scanner fast path, copied verbatim: the oracle."""
+    with _open_input(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}:{line_no}: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise InputError(f"{path}:{line_no}: expected a JSON object")
+            yield f"{path}:{line_no}", obj
+
+
+# Text that JSON must escape or may pass through, a lone surrogate included.
+json_text = st.text(alphabet=st.sampled_from('a "\\\n\u2028\xe9\U0001f600\ud83d'), max_size=5)
+json_scalar = st.none() | st.booleans() | st.integers() | st.floats() | json_text
+json_value = st.recursive(json_scalar, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3), max_leaves=5)
+
+
+@st.composite
+def jsonl_line(draw):
+    """One line of a JSONL file as text: mostly objects, and every kind of line the reader must reject or skip."""
+    kind = draw(st.sampled_from(["object"] * 4 + ["truncated", "value", "glued", "blank", "fixed"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\x0c", " \t "]))
+    if kind == "fixed":
+        return draw(st.sampled_from(["{}{}", '{"a":1},{"b":2}', '{"a": "\\ud83d"}', '{"a": NaN, "b": -Infinity}', "{", "{]", '{"a": }']))
+    value = draw(json_value if kind == "value" else st.dictionaries(json_text, json_value, max_size=4))
+    separators = draw(st.sampled_from([(", ", ": "), (",", ":"), (" , ", " :  ")]))
+    text = json.dumps(value, separators=separators, ensure_ascii=draw(st.booleans()))
+    if "\ud83d" in text:  # a file holds UTF-8, so only an escape can hold a lone surrogate
+        text = json.dumps(value, separators=separators)
+    if kind == "truncated":
+        text = text[: draw(st.integers(0, max(0, len(text) - 1)))]
+    elif kind == "glued":
+        text += draw(st.sampled_from(["{}", ',{"b": 2}', " x", "]"]))
+    elif draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    lines=st.lists(st.tuples(jsonl_line(), st.sampled_from(["\n", "\n", "\r\n", "\r", " \n", "\t\n", "\x0c\n", ""])), max_size=5),
+)
+def test_iter_jsonl_reads_as_the_per_line_loop(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+    path.write_bytes("".join(line + tail for line, tail in lines).encode("utf-8"))
+
+    def read(reader):
+        rows = []
+        try:
+            rows.extend(reader(path))
+        except InputError as exc:
+            return repr(rows), str(exc)  # repr: a NaN is not equal to itself
+        return repr(rows), None
+
+    assert read(iter_jsonl) == read(oracle_iter_jsonl)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cap2qa import eval_vqa
 from cap2qa.errors import InputError
-from cap2qa.eval_vqa import acc_score, evaluate, normalize, pacc_score
+from cap2qa.eval_vqa import acc_score, evaluate, fraction_text, normalize, pacc_score
 
 
 class TestNormalize:
@@ -251,3 +251,9 @@ class TestReferenceScorerDifferences:
         assert official_vqa_accuracy("a black cat", references) == 0
         assert acc_score("a black cat", references) == 0
         assert pacc_score("a black cat", references) == 1
+
+
+# A grid score and an equal Fraction built apart read the same; any other rational is formatted too.
+@pytest.mark.parametrize("score", [*eval_vqa._GRID, *(Fraction(k, eval_vqa.MATCH_CAP) for k in range(eval_vqa.MATCH_CAP + 1)), Fraction(5, 12), Fraction(0)])
+def test_fraction_text_is_numerator_slash_denominator(score):
+    assert fraction_text(score) == f"{score.numerator}/{score.denominator}"

@@ -259,6 +259,13 @@ class TestComplete:
         assert client.complete(request()) == "fresh"
         assert json.loads(path.read_text(encoding="utf-8")) == {"text": "fresh"}
 
+    def test_a_deeply_nested_cache_entry_is_a_miss(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / f"{cache_key(request())}.json").write_bytes(b"[" * 100000)
+        client = AssistantClient(mock_backend("fresh"), cache_dir=cache_dir, clock=FixedClock(NOW))
+        assert client.complete(request()) == "fresh"
+
     def test_failed_cache_write_leaves_no_file(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         with pytest.raises(UnicodeEncodeError):
