@@ -37,7 +37,7 @@ log = logging.getLogger(__name__)
 IMAGE_KEYS = ("image_id", "image", "img_id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptionRecord:
     """One human-written caption of one image."""
 
@@ -106,7 +106,7 @@ class Complement(Set):
         return f"{type(self).__name__}({sorted(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     model_id: str
     prompt_version: str
@@ -114,7 +114,7 @@ class Provenance:
     created_at: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAPair:
     """One question-answer pair parsed from an assistant response."""
 
@@ -122,7 +122,7 @@ class QAPair:
     answer: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstructionRecord:
     """A generated question-answer pair tied back to its source captions."""
 
@@ -208,6 +208,10 @@ def load_json(path: str | Path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: {exc.msg} at offset {exc.pos}") from exc
+        except UnicodeDecodeError:
+            raise  # _open_input names the line
+        except ValueError as exc:  # a number past int's digit limit
+            raise InputError(f"{path}: {exc}") from exc
         except RecursionError as exc:
             raise InputError(f"{path}: nested too deeply") from exc
     if not isinstance(data, dict):
@@ -245,6 +249,8 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{line_no}: {exc.msg}") from exc
+            except ValueError as exc:  # a number past int's digit limit
+                raise InputError(f"{path}:{line_no}: {exc}") from exc
             except RecursionError as exc:
                 raise InputError(f"{path}:{line_no}: nested too deeply") from exc
             if not isinstance(obj, dict):
@@ -265,6 +271,10 @@ def load_yaml(path: str | Path):
             where = f" at line {mark.line + 1}" if mark else ""
             problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
             raise InputError(f"{path}: malformed YAML{where}: {problem}") from exc
+        except UnicodeDecodeError:
+            raise  # _open_input names the line
+        except ValueError as exc:  # an int past its digit limit, or a date such as 2024-13-45
+            raise InputError(f"{path}: {exc}") from exc
         except RecursionError as exc:
             raise InputError(f"{path}: nested too deeply") from exc
 
@@ -449,7 +459,8 @@ def record_to_line(record: InstructionRecord) -> str:
     )
 
 
-def _record_from_dict(obj: dict, where: str) -> InstructionRecord:
+def _record_from_dict(obj: dict, where: str, shared) -> InstructionRecord:
+    """One record of a line; ``shared`` is a ``dict.setdefault`` that makes equal recipe strings one object."""
     prov = read_field(obj, "provenance", where, dict)
     sources = read_field(obj, "source_caption_ids", where, list)
     in_prov = f"{where}: provenance"
@@ -467,8 +478,8 @@ def _record_from_dict(obj: dict, where: str) -> InstructionRecord:
             c if type(c) is int else as_kind(c, int, where, f"'source_caption_ids'[{j}]") for j, c in enumerate(sources)
         ),
         provenance=Provenance(
-            model_id=read_field(prov, "model_id", in_prov),
-            prompt_version=read_field(prov, "prompt_version", in_prov),
+            model_id=shared(model_id := read_field(prov, "model_id", in_prov), model_id),
+            prompt_version=shared(version := read_field(prov, "prompt_version", in_prov), version),
             attempt=read_field(prov, "attempt", in_prov, int),
             created_at=created_at,
         ),
@@ -488,8 +499,13 @@ def write_instructions(path: str | Path, records: Iterable[InstructionRecord]) -
 
 
 def iter_instructions(path: str | Path) -> Iterator[InstructionRecord]:
-    """Yield the records of a file :func:`write_instructions` wrote, each validated as it is read."""
-    return (_record_from_dict(obj, where) for where, obj in iter_jsonl(path))
+    """Yield the records of a file :func:`write_instructions` wrote, each validated as it is read.
+
+    Within one read, equal ``model_id`` and equal ``prompt_version`` strings are one object, so
+    the records of a file that one recipe made hold its two strings once between them.
+    """
+    shared = {}.setdefault
+    return (_record_from_dict(obj, where, shared) for where, obj in iter_jsonl(path))
 
 
 def read_instructions(path: str | Path) -> list[InstructionRecord]:

@@ -244,6 +244,17 @@ def _in_order(todo: list[CaptionRecord], run, workers: int) -> Iterator[tuple[Ca
             pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _covered(out_path: Path, recipe: tuple[str, str]) -> tuple[set[int], set[int], bool]:
+    """Check and cut a resumed output as :func:`~cap2qa.corpus.drop_torn_tail` says, then read it.
+
+    Returns the caption ids and the image ids its records cover, and whether it
+    holds any record. The records die here, before the first new caption starts.
+    """
+    drop_torn_tail(out_path, recipe)
+    records = read_instructions(out_path)
+    return {cid for record in records for cid in record.source_caption_ids}, {r.image_id for r in records}, bool(records)
+
+
 def generate_corpus(
     captions: list[CaptionRecord],
     config: GeneratorConfig,
@@ -276,19 +287,16 @@ def generate_corpus(
     # A client that cannot be built (its cache directory is a file) fails before resume cuts the output.
     client = client or make_client(config)
 
-    existing: list[InstructionRecord] = []
+    covered_ids, covered_images, appending = set(), set(), False
     if resume and out_path.is_file():  # a device or a FIFO, such as /dev/zero, is only written
-        drop_torn_tail(out_path, (config.model_id, config.prompt.version_tag))
-        existing = read_instructions(out_path)
-    covered_ids = {cid for record in existing for cid in record.source_caption_ids}
+        covered_ids, covered_images, appending = _covered(out_path, (config.model_id, config.prompt.version_tag))
     todo = [c for c in captions if c.caption_id not in covered_ids]
     if len(todo) < len(captions):
         log.info("resume: %d of %d captions already covered", len(captions) - len(todo), len(captions))
 
-    covered_images = {r.image_id for r in existing}
     n_records = n_exhausted = 0
     outcomes = _in_order(todo, lambda caption: generate_for_caption(caption, config, client=client, clock=clock), config.workers)
-    with _open_output(out_path, "a" if existing else "w") as out, closing(outcomes):
+    with _open_output(out_path, "a" if appending else "w") as out, closing(outcomes):
         for caption, outcome in outcomes:
             if not outcome.records:
                 n_exhausted += 1

@@ -1844,3 +1844,44 @@ class TestResumeRecipe:
         tag = default_prompt_config().version_tag
         assert (code, lines[-1]) == (1, self.mismatch(out, ("model-a", tag), ("model-b", tag)))
         assert out.read_bytes() == before
+
+
+# --- an integer past Python's digit limit -----------------------------------
+
+# json and PyYAML convert integer text with int(), which refuses more digits than
+# sys.get_int_max_str_digits(); that refusal is one error line naming the file.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="this Python converts integers of any length")
+class TestIntegerPastTheDigitLimit:
+    digits = "7" * (INT_DIGIT_LIMIT + 1)
+
+    def refusal(self) -> str:
+        with pytest.raises(ValueError) as info:
+            int(self.digits)
+        return str(info.value)
+
+    def test_in_a_prediction_line_names_file_and_line(self, tmp_path, caplog):
+        argv = write_field_inputs(tmp_path, "eval-vqa")
+        pred = tmp_path / "vqa-pred.jsonl"
+        pred.write_text('{"question_id": 1, "prediction": "a"}\n{"question_id": 2, "prediction": ' + self.digits + "}\n", encoding="utf-8")
+        assert run_main(caplog, *argv) == (1, [f"{pred}:2: {self.refusal()}"])
+
+    def test_in_a_caption_file_names_it(self, tmp_path, caplog, mock_generate):
+        captions = Path(mock_generate[mock_generate.index("--captions") + 1])
+        captions.write_text('{"annotations": [{"id": ' + self.digits + ', "image_id": 10, "caption": "A cat."}]}', encoding="utf-8")
+        assert run_main(caplog, *mock_generate) == (1, [f"{captions}: {self.refusal()}"])
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_in_a_config_file_names_it(self, tmp_path, caplog, mock_generate):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"retry: {self.digits}\n", encoding="utf-8")
+        assert run_main(caplog, *mock_generate, "--config", config) == (1, [f"{config}: {self.refusal()}"])
+
+
+# PyYAML reads 2024-13-45 as a date and raises the ValueError of datetime.date.
+def test_a_date_that_does_not_exist_in_a_config_file_names_it(tmp_path, caplog, mock_generate):
+    config = tmp_path / "cfg.yaml"
+    config.write_text("retry: 1\nwhen: 2024-13-45\n", encoding="utf-8")
+    assert run_main(caplog, *mock_generate, "--config", config) == (1, [f"{config}: month must be in 1..12"])
