@@ -7,10 +7,10 @@ instruction dataset as JSONL, one record per line with a fixed key order
 recipe and cuts its torn last line with :func:`drop_torn_tail`.
 
 This module also owns the file readers (:func:`load_json`, :func:`iter_jsonl`,
-:func:`load_yaml`, :func:`read_text`), which open every input through one
-opener, so a missing, unreadable or malformed file is always the same
-one-line input error, and read every field through :func:`read_field`, so a
-missing or wrongly typed field is one too. An output written whole opens
+:func:`load_yaml`, :func:`read_text`). They open every input through
+:func:`_open_input`, the one place a missing, unreadable or unparsable file
+becomes a one-line input error, and read every field through :func:`read_field`,
+so a missing or wrongly typed field is one too. An output written whole opens
 through :func:`_replace_output`, one written as it goes through :func:`_open_output`.
 """
 
@@ -67,8 +67,8 @@ class Complement(Set):
     would hold about 77 of COCO's 80 names; this view holds the shared
     vocabulary and the image's few present names. ``present`` must be a
     subset of ``vocabulary``. It is equal and hash-equal to the frozenset,
-    and ``&`` with a set runs as C set operations, returning a frozenset
-    or, from the left, the other operand's type, as the frozenset would.
+    and ``&`` gives the frozenset's type, or a set's when the set is on the
+    left; there, as in ``chair_eval``, it runs as C set operations.
     """
 
     __slots__ = ("vocabulary", "present")
@@ -85,11 +85,6 @@ class Complement(Set):
 
     def __len__(self) -> int:
         return len(self.vocabulary) - len(self.present)
-
-    def __and__(self, other):
-        if isinstance(other, (set, frozenset)):
-            return (self.vocabulary & other) - self.present
-        return super().__and__(other)
 
     def __rand__(self, other):
         if isinstance(other, (set, frozenset)):
@@ -145,8 +140,8 @@ class DatasetStats:
 def _open_input(path: str | Path, mode: str = "r") -> Iterator[IO]:
     """Open an input file as UTF-8 text, or as bytes with ``mode="rb"``.
 
-    Every input file is opened here, so a path that is missing, a directory
-    or not UTF-8 is always one :class:`InputError` line that names it.
+    Every input file is opened here, so a path that is missing, a directory or not UTF-8, and a parse
+    failure its reader leaves (nesting, int digit limit, YAML date), is one :class:`InputError` naming it.
     """
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
@@ -157,6 +152,15 @@ def _open_input(path: str | Path, mode: str = "r") -> Iterator[IO]:
         raise InputError(f"{path}: is a directory, not a file") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 ({exc.reason})") from exc
+    except (ValueError, RecursionError) as exc:  # a parser's: no reader's body may raise another
+        raise InputError(f"{path}: {_problem(exc)}") from exc
+
+
+def _problem(exc: ValueError | RecursionError) -> str:
+    """What a parse failure says in its input error's line; a JSON syntax error's position is not part of it."""
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
 @contextmanager
@@ -208,12 +212,6 @@ def load_json(path: str | Path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: {exc.msg} at offset {exc.pos}") from exc
-        except UnicodeDecodeError:
-            raise  # _open_input names the line
-        except ValueError as exc:  # a number past int's digit limit
-            raise InputError(f"{path}: {exc}") from exc
-        except RecursionError as exc:
-            raise InputError(f"{path}: nested too deeply") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
     return data
@@ -247,12 +245,8 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{line_no}: {exc.msg}") from exc
-            except ValueError as exc:  # a number past int's digit limit
-                raise InputError(f"{path}:{line_no}: {exc}") from exc
-            except RecursionError as exc:
-                raise InputError(f"{path}:{line_no}: nested too deeply") from exc
+            except (ValueError, RecursionError) as exc:
+                raise InputError(f"{path}:{line_no}: {_problem(exc)}") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{line_no}: expected a JSON object")
             yield f"{path}:{line_no}", obj
@@ -271,12 +265,6 @@ def load_yaml(path: str | Path):
             where = f" at line {mark.line + 1}" if mark else ""
             problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
             raise InputError(f"{path}: malformed YAML{where}: {problem}") from exc
-        except UnicodeDecodeError:
-            raise  # _open_input names the line
-        except ValueError as exc:  # an int past its digit limit, or a date such as 2024-13-45
-            raise InputError(f"{path}: {exc}") from exc
-        except RecursionError as exc:
-            raise InputError(f"{path}: nested too deeply") from exc
 
 
 def read_text(path: str | Path) -> str:

@@ -102,6 +102,8 @@ class MockScript:
                 raise InputError(f"{where}: 'prompt_hash' must be non-empty")
             if not _PROMPT_HASH.fullmatch(key):
                 raise InputError(f"{where}: 'prompt_hash' must be 64 lowercase hex digits, a SHA-256 of a prompt, got {key!r}")
+            if key in by_hash:
+                raise InputError(f"{where}: repeated 'prompt_hash' {key}, which an earlier entry answers")
             by_hash[key] = text
         return cls(responses, by_hash)
 

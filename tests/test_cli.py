@@ -983,6 +983,22 @@ class TestInputErrors:
             f"ERROR cap2qa: {config}: malformed YAML at line 2: expected ',' or ']', but got '<stream end>'"
         ]
 
+    # PyYAML composes 1000 nested flow sequences past Python's recursion limit, in about 0.1 s in process.
+    def test_deeply_nested_config_is_exit_1_in_one_line(self, tmp_path, caplog, mock_generate):
+        config = tmp_path / "deep.yaml"
+        config.write_text("[" * 1000 + "\n", encoding="utf-8")
+        code, lines = run_main(caplog, *mock_generate, "--config", config)
+        assert (code, lines) == (1, [f"{config}: nested too deeply"])
+
+    # A second entry for one prompt would silently replace the first: exit 1 naming it, before --out is touched.
+    def test_repeated_prompt_hash_is_exit_1_naming_the_second_entry(self, tmp_path, caplog, mock_generate):
+        caption = (1, 10, "A cat sits.")
+        rows = hash_script_rows([(caption, "Question: Q?\nAnswer: A."), (caption, "Question: R?\nAnswer: B.")])
+        script = write_jsonl(tmp_path / "script.jsonl", rows)
+        code, lines = run_main(caplog, *mock_generate)
+        assert (code, lines) == (1, [f"{script}:2: repeated 'prompt_hash' {rows[0]['prompt_hash']}, which an earlier entry answers"])
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_config_that_is_not_a_mapping_is_exit_1(self, tmp_path, caplog, mock_generate):
         config = tmp_path / "cfg.yaml"
         config.write_text("- retry\n", encoding="utf-8")
